@@ -13,7 +13,7 @@ Acceptance (env-tunable for noisy CI runners): the best compiled
 backend must reach ``REPRO_BENCH_KERNELS_MIN_ERP`` (default 3.0) times
 numpy throughput for ERP and ``REPRO_BENCH_KERNELS_MIN`` (default 2.0)
 times for DTW/Frechet/EDR/LCSS.  When no compiled backend is available
-(numba not installed and no C compiler) the benchmark still writes the
+(no C compiler) the benchmark still writes the
 numpy baseline but skips the speedup assertions.
 
 Results persist to ``benchmarks/results/BENCH_kernels.json``.
@@ -107,7 +107,7 @@ def test_report_kernels():
             vals, mask = fn(*args, lengths, dk=np.inf)
             assert mask.all(), (family, name)
             assert np.array_equal(vals, base_vals), (family, name)
-            # Warm once (numba JIT / cnative dlopen), then time.
+            # Warm once (cnative dlopen), then time.
             seconds = _timed(lambda: fn(*args, lengths, dk=np.inf))
             speedup = base_seconds / seconds
             cell["backends"][name] = {

@@ -38,7 +38,6 @@ EXPERIMENTS = {
     "planner": ("bench_planner", "test_report_planner"),
     "batch_planner": ("bench_batch_planner", "test_report_batch_planner"),
     "near_dup": ("bench_near_dup", "test_report_near_dup"),
-    "query_index": ("bench_query_index", "test_report_query_index"),
     "faults": ("bench_faults", "test_report_faults"),
     "service": ("bench_service", "test_report_service"),
 }

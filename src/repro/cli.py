@@ -76,19 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "a share-group representative reuse its "
                             "probe and wave plan "
                             "(plan_options={'share_eps': EPS})")
-    query.add_argument("--no-query-index", action="store_true",
-                       help="use the legacy greedy driver scans for "
-                            "--batch instead of the query-side metric "
-                            "index (restores the 64-distinct-query "
-                            "cross-tightening cap; "
-                            "plan_options={'query_index': False})")
     query.add_argument("--kernels", default=None,
-                       choices=["auto", "numpy", "numba", "cnative"],
+                       choices=["auto", "numpy", "cnative"],
                        help="DP kernel backend for batch refinement: "
-                            "'numpy' (always available), 'numba'/"
-                            "'cnative' (compiled tiers, bit-identical "
-                            "results), or 'auto' (fastest available, "
-                            "the default; REPRO_KERNELS env overrides)")
+                            "'numpy' (always available), 'cnative' "
+                            "(the compiled tier, bit-identical "
+                            "results), or 'auto' (cnative when "
+                            "available, the default; REPRO_KERNELS "
+                            "env overrides)")
     query.add_argument("--calibrate", action="store_true",
                        help="calibrate the 'auto' cost model on one "
                             "real partition task before querying")
@@ -232,8 +227,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         plan_options["wave_size"] = args.wave_size
     if args.share_eps is not None:
         plan_options["share_eps"] = args.share_eps
-    if args.no_query_index:
-        plan_options["query_index"] = False
     engine = Repose.build(data, measure=measure, delta=args.delta,
                           num_partitions=args.partitions,
                           strategy=args.strategy,

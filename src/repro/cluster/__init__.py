@@ -19,10 +19,13 @@ substrate for a single machine:
 * :mod:`~repro.cluster.planner` — the two-phase query planner: probe
   partitions for first-level lower bounds, dispatch them in promise
   order through coordinated waves, and broadcast the tightening global
-  k-th-best distance into every later wave's local searches;
-* :mod:`~repro.cluster.batch` — the multi-query batch planner: shared
-  (cached) probes, partition-affinity task grouping, and a per-query
-  threshold vector with cross-query triangle-inequality reuse;
+  k-th-best distance into every later wave's local searches (reports,
+  per-query planning, the wave builder and failure fold, range
+  queries);
+* :mod:`~repro.cluster.batch` — the top-k wave loop at any batch width
+  (a single query is a batch of one): shared (cached) probes,
+  partition-affinity task grouping, and a per-query threshold vector
+  with cross-query triangle-inequality reuse;
 * :mod:`~repro.cluster.query_index` — the driver-side metric index
   (mutable VP-tree with content-fingerprint prefilter and a shared
   pair cache) the batch planner's query scans — share clustering,

@@ -12,8 +12,8 @@ determines the global top-k result").  Two reduction styles live here:
   grouping of the partials (the (distance, tid) order is total), so
   wave boundaries never change the merged answer.
   :class:`RunningTopKVector` lifts this to a whole query batch — one
-  accumulator per query, with an optional triangle-inequality
-  cross-query tightening of the broadcast thresholds;
+  accumulator per query, whose broadcast thresholds take the
+  planner's certified cross-query bounds;
 * the one-shot functions :func:`merge_top_k`, :func:`merge_range` and
   :func:`merge_stats`, which reduce a fully collected list of partials
   (single-shot execution, batch scheduling, tests).  ``merge_top_k``
@@ -107,24 +107,22 @@ class RunningTopKVector:
     every per-query answer stays bit-identical to running that query
     alone.
 
-    :meth:`broadcast_vector` additionally supports *cross-query
-    threshold reuse* for metric measures: if query ``i`` already holds
-    k results at distance ``dk_i`` or better, then by the triangle
-    inequality those same k trajectories lie within
-    ``dk_i + d(q_i, q_j)`` of query ``j``, so query ``j``'s *final*
-    k-th best can never exceed that — making it a sound (strictly
+    :meth:`broadcast_vector` min-folds the planner's certified
+    cross-query bounds into the thresholds.  For metric measures those
+    come from the triangle inequality: if query ``i`` already holds k
+    results at distance ``dk_i`` or better, those same k trajectories
+    lie within ``dk_i + d(q_i, q_j)`` of query ``j``, so query ``j``'s
+    *final* k-th best can never exceed that — a sound (strictly
     applied, hence answer-preserving) threshold for ``j`` even before
-    ``j`` has found k results of its own.
-
-    For the non-metric measures (DTW/EDR/LCSS) no pairwise matrix can
-    certify anything, so :meth:`broadcast_vector` also accepts a
-    per-query ``bounds`` vector of *sampled* upper bounds: the batch
-    planner evaluates a cheap banded (warp-window / eps-shift) upper
-    bound from each query to a small shared sample of already-found
-    candidate trajectories (:meth:`sample_items`); the k-th smallest of
-    those values upper-bounds the query's final k-th best outright —
-    k distinct trajectories provably sit at or under it — so it is a
-    sound sibling-tightening threshold with no metric assumption.
+    ``j`` has found k results of its own
+    (:meth:`repro.cluster.query_index.QueryIndex.tighten`).  For the
+    non-metric measures (DTW/EDR/LCSS) the planner evaluates a cheap
+    banded (warp-window / eps-shift) upper bound from each query to a
+    small shared sample of already-found candidate trajectories
+    (:meth:`sample_items`); the k-th smallest of those values
+    upper-bounds the query's final k-th best outright — k distinct
+    trajectories provably sit at or under it — with no metric
+    assumption.
     """
 
     def __init__(self, num_queries: int, k: int):
@@ -166,40 +164,22 @@ class RunningTopKVector:
         """Every query's running ``dk`` as one float vector."""
         return np.array([merge.dk for merge in self._merges])
 
-    def broadcast_vector(self, pairwise: np.ndarray | None = None,
-                         bounds: np.ndarray | None = None,
-                         ) -> tuple[np.ndarray, int]:
-        """Per-query thresholds for the next wave, cross-tightened.
+    def broadcast_vector(self, bounds: np.ndarray | None = None,
+                         ) -> np.ndarray:
+        """Per-query thresholds for the next wave.
 
-        ``pairwise``, when given, is the symmetric query-to-query
-        distance matrix of a *metric* measure (zero diagonal); each
-        query's threshold becomes
-        ``min_i(dk_i + pairwise[i, j])`` — which includes its own
-        ``dk_j`` via the zero diagonal, and single-hop tightening is
-        enough because the triangle inequality makes multi-hop chains
-        no tighter.  ``bounds``, when given, is a per-query vector of
-        externally certified upper bounds on each query's *final* k-th
-        best (the batch planner's sampled non-metric bounds); it is
-        min-folded into the thresholds after the pairwise pass.
-        Returns ``(thresholds, tightened)`` where ``tightened`` counts
-        the queries whose threshold improved over their own ``dk``
-        through the *pairwise* matrix (sampled-bound tightenings are
-        counted by the caller, which knows both vectors).  The running
+        Each query's own running ``dk``, min-folded with ``bounds`` —
+        a per-query vector of externally certified upper bounds on each
+        query's *final* k-th best (the batch planner's registry seeds,
+        sampled non-metric bounds and triangle bounds).  The running
         merges are never modified: the vector is a broadcast value,
         not a result.
         """
-        dks = self.dk_vector()
-        tightened = 0
-        thresholds = dks
-        if (pairwise is not None and len(dks) >= 2
-                and np.isfinite(dks).any()):
-            cross = (dks[:, np.newaxis] + np.asarray(pairwise)).min(axis=0)
-            tightened = int(np.count_nonzero(cross < dks))
-            thresholds = np.minimum(dks, cross)
+        thresholds = self.dk_vector()
         if bounds is not None:
-            thresholds = np.minimum(thresholds, np.asarray(bounds,
-                                                           dtype=float))
-        return thresholds, tightened
+            thresholds = np.minimum(thresholds,
+                                    np.asarray(bounds, dtype=float))
+        return thresholds
 
     def sample_items(self, size: int) -> list[tuple[float, int]]:
         """The ``size`` globally best distinct candidates found so far.

@@ -111,10 +111,10 @@ class WorkloadHints:
         with the group width even though ``num_tasks`` shrinks; this
         keeps the cost model's total-work estimate honest for them.
     kernels:
-        Resolved DP kernel backend the refiner will run (``"numba"``,
-        ``"cnative"``, ``"numpy"``, or ``None`` for the numpy default;
-        never ``"auto"`` — the driver resolves before hinting).
-        Compiled backends shrink the exact-DP share of a task and run
+        Resolved DP kernel backend the refiner will run (``"cnative"``,
+        ``"numpy"``, or ``None`` for the numpy default; never
+        ``"auto"`` — the driver resolves before hinting).  The
+        compiled backend shrinks the exact-DP share of a task and runs
         it outside the GIL, which shifts both the per-point cost and
         the thread-vs-process placement below.
     """
@@ -163,14 +163,11 @@ _DP_MEASURES = frozenset({"frechet", "dtw", "erp", "edr", "lcss"})
 #: Ballpark per-point cost multiplier when the exact DP stage runs on a
 #: compiled backend instead of the numpy sweeps.  Used only until
 #: :meth:`ExecutionEngine.calibrate` measures the real composite rate.
-_COMPILED_COST_SCALE = {
-    "numba": 0.2,
-    "cnative": 0.25,
-}
+_COMPILED_COST_SCALE = 0.25
 
 #: GIL-held share for DP measures under a compiled backend: the row
 #: loops that kept EDR/LCSS Python-bound move into native code that
-#: releases (cnative) or never takes (numba nogil regions) the GIL.
+#: releases the GIL.
 _COMPILED_GIL_FRACTION = 0.15
 
 
@@ -204,7 +201,7 @@ def _lookup_cost_us(measure: str | None, kernels: str | None,
     if cost is None:
         cost = _MEASURE_COST_US.get(measure, _DEFAULT_COST_US)
     if key != measure:
-        cost *= _COMPILED_COST_SCALE.get(kernels, 0.25)
+        cost *= _COMPILED_COST_SCALE
     return cost
 
 
@@ -824,7 +821,8 @@ class ExecutionEngine:
         timeout_count = [0] * n
         thread_only = [False] * n
         last_failure: list[tuple[str, str, float] | None] = [None] * n
-        # future -> [pid, start, speculative, abandoned, on_threads]
+        # future -> [pid, start, speculative, abandoned, process pool
+        # it was submitted to (None: the thread pool)]
         in_flight: dict[object, list] = {}
         retry_at: dict[int, float] = {}
         use_processes = backend == "process"
@@ -840,12 +838,13 @@ class ExecutionEngine:
                 spec_launched[pid] += 1
             else:
                 attempts[pid] += 1
+            pool = None if on_threads else self._processes()
             if on_threads:
                 future = self._threads().submit(self._timed, pid, tasks[pid])
             else:
-                future = self._processes().submit(_timed_task, pid, tasks[pid])
+                future = pool.submit(_timed_task, pid, tasks[pid])
             in_flight[future] = [pid, time.monotonic(), speculative, False,
-                                 on_threads]
+                                 pool]
 
         def active_attempts(pid: int) -> int:
             return sum(1 for info in in_flight.values()
@@ -922,19 +921,23 @@ class ExecutionEngine:
                 info = in_flight.pop(future, None)
                 if info is None:
                     continue
-                pid, start, speculative, abandoned, ran_on_threads = info
+                pid, start, speculative, abandoned, pool = info
                 if outcomes[pid] is not None:
                     continue
                 elapsed = time.monotonic() - start
                 try:
                     result, timing = future.result()
                 except BrokenExecutor as exc:
-                    self._dispose_process_pool()
-                    if pool_broke_once:
-                        # Second break in one run: stop trusting
-                        # processes entirely for the rest of it.
-                        use_processes = False
-                    pool_broke_once = True
+                    if pool is self._process_pool:
+                        # The first future to report this pool's death
+                        # (its siblings from the same pool are the same
+                        # break, not a second one).
+                        self._dispose_process_pool()
+                        if pool_broke_once:
+                            # Second break in one run: stop trusting
+                            # processes entirely for the rest of it.
+                            use_processes = False
+                        pool_broke_once = True
                     if not abandoned:
                         attempt_failed(pid, "crash", repr(exc), elapsed)
                 except (pickle.PicklingError, AttributeError,
@@ -947,7 +950,7 @@ class ExecutionEngine:
                     # budget.  The same exception types raised by the
                     # task itself *executing* on the thread pool are
                     # ordinary task errors.
-                    if ran_on_threads:
+                    if pool is None:
                         if not abandoned:
                             attempt_failed(pid, "error", repr(exc), elapsed)
                     else:

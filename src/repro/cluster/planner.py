@@ -39,11 +39,15 @@ submitted heaviest-estimated-work first
 partitions around the heavy ones instead of letting a straggler
 stretch the wave barrier.  Probes are memoizable across repeated
 queries through a driver-owned
-:class:`~repro.cluster.rdd.ProbeCache`, and the multi-query batch
-variant of this planner lives in :mod:`repro.cluster.batch` — whose
-own driver-side scans over *queries* (share clustering, cross-query
-tightening, registry neighbor lookups) run against the metric index
-in :mod:`repro.cluster.query_index`.
+:class:`~repro.cluster.rdd.ProbeCache`.
+
+This module holds what every wave plan shares — the reports, the
+probe / promise-order / wave-cut primitives, the wave builder (skip,
+group, LPT, :class:`WaveReport` bookkeeping) and the failure fold
+(re-dispatch queue, ``failed_partitions``, exactness verdict) — and
+the range-query loop built from them.  The top-k loop exists once, at
+any batch width, in :mod:`repro.cluster.batch`: a single query is a
+batch of one (:meth:`QueryPlanner.execute_top_k`).
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..core.search import PartitionProbe, SearchStats, TopKResult
-from .driver import RunningTopK, merge_stats
 from .engine import ExecutionEngine, TaskTiming, WorkloadHints
 from .scheduler import lpt_order
 
@@ -118,7 +121,8 @@ class PlanReport:
     alongside the usual timing numbers.
     """
 
-    #: ``"waves"`` (this planner) or ``"single"`` (one-shot fan-out).
+    #: ``"waves"`` (the wave loop — a single query or one query of a
+    #: batch alike) or ``"batch-fifo"`` (the FIFO one-shot batch path).
     mode: str
     #: Partitions per wave the plan was cut into.
     wave_size: int
@@ -136,7 +140,8 @@ class PlanReport:
     #: phase (both zero when no cache is configured).
     probe_cache_hits: int = 0
     probe_cache_misses: int = 0
-    #: Engine-level task re-dispatches consumed across the plan.
+    #: Engine-level task re-dispatches consumed by the tasks that
+    #: served this query (a grouped task charges every query in it).
     retries: int = 0
     #: Task attempts abandoned at the per-task deadline.
     timeouts: int = 0
@@ -164,6 +169,30 @@ class PlanReport:
         return not self.failed_partitions
 
 
+@dataclass
+class WaveState:
+    """What a wave loop carries from one wave's build to its fold.
+
+    Indexed by query throughout — a range query or a single top-k
+    query is simply the one-query case.
+    """
+
+    #: Per query: ``(probes, planned waves)``; both empty for a query
+    #: that never dispatches (a deduplicated twin).
+    plans: list[tuple[list, list[list[int]]]]
+    #: Per query: the plan report the loop writes its waves into.
+    reports: list[PlanReport]
+    #: query -> partitions whose task failed since the last re-dispatch
+    #: wave was cut, in failure order.
+    retry: dict[int, list[int]] = field(default_factory=dict)
+    #: (partition, query) -> failed dispatches so far.
+    redispatches: dict[tuple[int, int], int] = field(default_factory=dict)
+    #: Per built wave: its ``(partition, queries)`` tasks in dispatch
+    #: order, for the fold to pair outcomes with.
+    dispatched: list[list[tuple[int, list[int]]]] = field(
+        default_factory=list)
+
+
 class QueryPlanner:
     """Probe, order and dispatch partitions in threshold-coupled waves.
 
@@ -180,6 +209,11 @@ class QueryPlanner:
     Indexes with neither (the DFT/DITA/LS baselines) still execute
     correctly — they are simply dispatched in id order with no
     propagation, degenerating to a barriered single-shot plan.
+
+    This class runs range queries itself; top-k runs through
+    ``execute_batch``, which
+    :class:`~repro.cluster.batch.BatchQueryPlanner` — the planner every
+    driver instantiates — adds on top of the steps defined here.
 
     Parameters
     ----------
@@ -283,10 +317,10 @@ class QueryPlanner:
 
     # -- phase 2: waves ------------------------------------------------------
 
-    def _prepare_plan(self, parts: Sequence, query, kwargs: dict,
-                      ) -> tuple[list[PartitionProbe | None],
-                                 list[list[int]], PlanReport]:
-        """Shared phase-1 setup: probe, order, cut waves, open report."""
+    def _plan_query(self, parts: Sequence, query, kwargs: dict,
+                    ) -> tuple[list[PartitionProbe | None],
+                               list[list[int]], PlanReport]:
+        """Phase 1 for one query: probe, order, cut waves, open report."""
         start = time.perf_counter()
         before = self.cache_counters()
         probes = self.probe(parts, query, kwargs)
@@ -316,107 +350,138 @@ class QueryPlanner:
         hits, misses = self.cache_counters()
         return hits - before[0], misses - before[1]
 
+    def _wave_stream(self, state: WaveState,
+                     build: Callable[[int, dict[int, list[int]]], object]):
+        """Yield ``build(index, candidates)`` wave after wave, lazily.
+
+        ``candidates`` maps each query with something left to dispatch
+        to the partitions wave ``index`` holds for it: the planned
+        waves first, then — while any task failed — one re-dispatch
+        wave per round of failures (so a re-dispatched partition is
+        judged against the by-then freshest threshold).  The engine
+        pulls the next wave only after the previous one was folded.
+        """
+        index = 0
+        planned = max((len(waves) for _, waves in state.plans), default=0)
+        while True:
+            if index < planned:
+                # Exhausted plans and a staggered share-group member's
+                # empty leading wave contribute nothing.
+                candidates = {qi: waves[index]
+                              for qi, (_, waves) in enumerate(state.plans)
+                              if index < len(waves) and waves[index]}
+            elif state.retry:
+                candidates = {qi: state.retry[qi]
+                              for qi in sorted(state.retry)}
+                state.retry = {}
+            else:
+                return
+            yield build(index, candidates)
+            index += 1
+
+    def _build_wave(self, state: WaveState, index: int,
+                    candidates: dict[int, list[int]], thresholds,
+                    ) -> list[tuple[int, list[int]]]:
+        """Decide what wave ``index`` dispatches under ``thresholds``.
+
+        Opens a :class:`WaveReport` per candidate query, skips every
+        partition whose probe bound exceeds that query's threshold,
+        groups the surviving (partition, query) pairs by partition and
+        returns the ``(partition, queries)`` tasks heaviest first.
+        """
+        groups: dict[int, list[int]] = {}
+        for qi, pids in candidates.items():
+            probes = state.plans[qi][0]
+            wave_report = WaveReport(index=index,
+                                     dk_before=float(thresholds[qi]))
+            state.reports[qi].waves.append(wave_report)
+            for pid in pids:
+                probe = probes[pid]
+                if probe is not None and probe.bound > thresholds[qi]:
+                    # Sound skip: probe.bound lower-bounds every
+                    # trajectory here, and the threshold certifies the
+                    # answer is already complete at or below it.  Ties
+                    # are dispatched (strict >) to preserve the merge's
+                    # tid tie-breaking bit-for-bit.
+                    wave_report.skipped.append(pid)
+                else:
+                    groups.setdefault(pid, []).append(qi)
+        # The probe also feeds the scheduler: submit the wave's
+        # heaviest-looking tasks first so FIFO placement packs light
+        # tasks around them (LPT) instead of letting a straggler
+        # stretch the wave barrier.  A task's weight is the sum of its
+        # queries' probe-estimated work on the partition.
+        pids = list(groups)
+        weights = [sum(self.task_weight(state.plans[qi][0][pid],
+                                        float(thresholds[qi]))
+                       for qi in groups[pid]) for pid in pids]
+        entries = [(pids[rank], groups[pids[rank]])
+                   for rank in lpt_order(weights)]
+        for pid, group in entries:
+            for qi in group:
+                state.reports[qi].waves[-1].partitions.append(pid)
+        state.dispatched.append(entries)
+        return entries
+
+    @staticmethod
+    def _fold_outcomes(state: WaveState, index: int, outcomes: list,
+                       ) -> list[tuple[list[int], object]]:
+        """Split wave ``index``'s outcomes into results and failures.
+
+        Returns ``(queries, task result)`` per successful task, in
+        dispatch order.  A task that failed terminally (its
+        engine-level retries exhausted) re-enqueues each of its
+        (partition, query) pairs for a re-dispatch wave, up to
+        :data:`PLANNER_REDISPATCHES` times, and only then lands the
+        partition on that query's ``failed_partitions``.  Engine-level
+        fault counters are charged to every query the task served.
+        """
+        done = []
+        for (pid, group), outcome in zip(state.dispatched[index], outcomes):
+            for qi in group:
+                plan = state.reports[qi]
+                plan.retries += outcome.retries
+                plan.timeouts += outcome.timeouts
+                plan.speculative_wins += int(outcome.speculative_win)
+                if outcome.ok:
+                    continue
+                plan.waves[-1].failed.append(pid)
+                attempts = state.redispatches.get((pid, qi), 0) + 1
+                state.redispatches[(pid, qi)] = attempts
+                if attempts <= PLANNER_REDISPATCHES:
+                    state.retry.setdefault(qi, []).append(pid)
+                else:
+                    plan.failed_partitions.append(pid)
+            if outcome.ok:
+                done.append((group, outcome.result))
+        return done
+
+    @staticmethod
+    def _record_partial(plan: PlanReport, partial: TopKResult) -> None:
+        """Count one folded partial on the plan's current wave."""
+        wave_report = plan.waves[-1]
+        wave_report.nodes_pruned += partial.stats.nodes_pruned
+        wave_report.exact_refinements += partial.stats.exact_refinements
+
     def execute_top_k(self, parts: Sequence, query, k: int, kwargs: dict,
-                      make_task: Callable[[object, dict], Callable],
+                      make_task: Callable[[object, list, list, list],
+                                          Callable],
                       hints: WorkloadHints | None = None,
                       ) -> tuple[TopKResult, list[list[TaskTiming]],
                                  PlanReport]:
-        """Run one distributed top-k query as a two-phase wave plan.
+        """Run one distributed top-k query: a batch of one.
 
-        ``make_task(rp, task_kwargs)`` builds the engine task for one
-        partition record; the planner owns which partitions run, in
-        which wave, and with which extra ``dk`` kwarg.  Returns the
-        merged global result (bit-identical to single-shot execution
-        whenever ``report.complete``), the per-wave task timings for
-        barrier-aware makespan simulation, and the :class:`PlanReport`.
-
-        Failed tasks never raise here: a partition whose dispatch
-        failed terminally (its engine-level retries exhausted) is
-        re-enqueued into a later wave up to
-        :data:`PLANNER_REDISPATCHES` times — where the by-then tighter
-        ``dk`` may even skip it soundly — and only then lands on
-        ``report.failed_partitions``, flagging the result best-effort
-        unless the exactness verdict proves otherwise.
+        The wave loop exists once, at any batch width, in
+        :meth:`repro.cluster.batch.BatchQueryPlanner.execute_batch`
+        (the planner every driver instantiates); this is its width-1
+        call, returning that query's merged result (bit-identical to
+        single-shot execution whenever ``report.complete``), the
+        per-wave task timings and its :class:`PlanReport`.
+        ``make_task`` is ``execute_batch``'s group task factory.
         """
-        probes, waves, report = self._prepare_plan(parts, query, kwargs)
-        merge = RunningTopK(k)
-        retry_queue: list[int] = []
-        redispatches: dict[int, int] = {}
-
-        def wave_tasks():
-            """Lazily build each wave against the freshest global dk,
-            appending re-dispatch waves for failed partitions."""
-            planned = iter(waves)
-            index = 0
-            while True:
-                wave = next(planned, None)
-                if wave is None:
-                    if not retry_queue:
-                        return
-                    wave = list(retry_queue)
-                    retry_queue.clear()
-                dk = merge.dk
-                wave_report = WaveReport(index=index, dk_before=dk)
-                report.waves.append(wave_report)
-                dispatch = []
-                for pid in wave:
-                    probe = probes[pid]
-                    if probe is not None and probe.bound > dk:
-                        # Sound skip: probe.bound lower-bounds every
-                        # trajectory here, and dk certifies k global
-                        # results at or below it already exist.  Ties
-                        # are dispatched (strict >) to preserve the
-                        # merge's tid tie-breaking bit-for-bit.
-                        wave_report.skipped.append(pid)
-                        continue
-                    dispatch.append(pid)
-                # The probe also feeds the scheduler: submit the wave's
-                # heaviest-looking partitions first so FIFO placement
-                # packs light tasks around them (LPT) instead of letting
-                # a straggler stretch the wave barrier.
-                weights = [self.task_weight(probes[pid], dk)
-                           for pid in dispatch]
-                tasks = []
-                broadcast = False
-                for rank in lpt_order(weights):
-                    pid = dispatch[rank]
-                    task_kwargs = kwargs
-                    if (math.isfinite(dk)
-                            and getattr(parts[pid].index,
-                                        "supports_threshold", False)):
-                        # A caller-supplied dk stays in force when it
-                        # is the tighter of the two.
-                        task_kwargs = {
-                            **kwargs,
-                            "dk": min(dk, kwargs.get("dk", float("inf"))),
-                        }
-                        broadcast = True
-                    wave_report.partitions.append(pid)
-                    tasks.append(make_task(parts[pid], task_kwargs))
-                if broadcast:
-                    report.threshold_broadcasts += 1
-                yield tasks
-                index += 1
-
-        def fold_wave(index: int, outcomes: list,
-                      timings: list[TaskTiming]) -> None:
-            wave_report = report.waves[index]
-            results = self._fold_outcomes(
-                wave_report, outcomes, report, retry_queue, redispatches)
-            merge.fold(results)
-            wave_report.dk_after = merge.dk
-            wave_stats = merge_stats(r.stats for r in results)
-            wave_report.nodes_pruned = wave_stats.nodes_pruned
-            wave_report.exact_refinements = wave_stats.exact_refinements
-
-        _, wave_timings = self.engine.run_waves(
-            wave_tasks(), hints=hints, on_wave=fold_wave)
-
-        result = merge.result()
-        report.exact = self._exactness(report.failed_partitions, probes,
-                                       merge.dk)
-        self._finalize_stats(result.stats, report)
-        return result, wave_timings, report
+        results, wave_timings, report = self.execute_batch(
+            parts, [query], k, [kwargs], make_task, hints=hints)
+        return results[0], wave_timings, report.per_query[0]
 
     def execute_range(self, parts: Sequence, query, radius: float,
                       kwargs: dict,
@@ -429,91 +494,33 @@ class QueryPlanner:
         The radius is a fixed threshold, so there is nothing to
         propagate between waves — but the probe phase still skips every
         partition whose first-level bound exceeds the radius without
-        searching it, and dispatch stays wave-structured so range and
-        top-k share one execution (and accounting) path.  Returns the
+        searching it, and the waves are built, folded and re-dispatched
+        on failure by the same steps as top-k
+        (:meth:`_build_wave` / :meth:`_fold_outcomes`).  Returns the
         per-partition partials in dispatch order (the driver's
         ``merge_range`` is order-insensitive), per-wave timings and the
         report.
         """
-        probes, waves, report = self._prepare_plan(parts, query, kwargs)
+        probes, waves, report = self._plan_query(parts, query, kwargs)
+        state = WaveState(plans=[(probes, waves)], reports=[report])
         partials: list[TopKResult] = []
-        retry_queue: list[int] = []
-        redispatches: dict[int, int] = {}
 
-        def wave_tasks():
-            planned = iter(waves)
-            index = 0
-            while True:
-                wave = next(planned, None)
-                if wave is None:
-                    if not retry_queue:
-                        return
-                    wave = list(retry_queue)
-                    retry_queue.clear()
-                wave_report = WaveReport(index=index, dk_before=radius,
-                                         dk_after=radius)
-                report.waves.append(wave_report)
-                dispatch = []
-                for pid in wave:
-                    probe = probes[pid]
-                    if probe is not None and probe.bound > radius:
-                        wave_report.skipped.append(pid)
-                        continue
-                    dispatch.append(pid)
-                weights = [self.task_weight(probes[pid], radius)
-                           for pid in dispatch]
-                tasks = []
-                for rank in lpt_order(weights):
-                    pid = dispatch[rank]
-                    wave_report.partitions.append(pid)
-                    tasks.append(make_task(parts[pid], kwargs))
-                yield tasks
-                index += 1
+        def build(index: int, candidates: dict[int, list[int]]) -> list:
+            return [make_task(parts[pid], kwargs) for pid, _ in
+                    self._build_wave(state, index, candidates, [radius])]
 
         def fold_wave(index: int, outcomes: list,
                       timings: list[TaskTiming]) -> None:
-            wave_report = report.waves[index]
-            results = self._fold_outcomes(
-                wave_report, outcomes, report, retry_queue, redispatches)
-            partials.extend(results)
-            wave_stats = merge_stats(r.stats for r in results)
-            wave_report.nodes_pruned = wave_stats.nodes_pruned
-            wave_report.exact_refinements = wave_stats.exact_refinements
+            for _, partial in self._fold_outcomes(state, index, outcomes):
+                partials.append(partial)
+                self._record_partial(report, partial)
+            report.waves[index].dk_after = radius
 
         _, wave_timings = self.engine.run_waves(
-            wave_tasks(), hints=hints, on_wave=fold_wave)
+            self._wave_stream(state, build), hints=hints, on_wave=fold_wave)
         report.exact = self._exactness(report.failed_partitions, probes,
                                        radius)
         return partials, wave_timings, report
-
-    @staticmethod
-    def _fold_outcomes(wave_report: WaveReport, outcomes: list,
-                       report: PlanReport, retry_queue: list[int],
-                       redispatches: dict[int, int]) -> list:
-        """Split one wave's outcomes into results and failures.
-
-        Successful results are returned for folding; each failed
-        partition either re-enters ``retry_queue`` (within the
-        :data:`PLANNER_REDISPATCHES` budget) or is recorded terminally
-        on ``report.failed_partitions``.  Engine-level fault counters
-        are aggregated onto the report either way.
-        """
-        results = []
-        for pid, outcome in zip(wave_report.partitions, outcomes):
-            report.retries += outcome.retries
-            report.timeouts += outcome.timeouts
-            report.speculative_wins += int(outcome.speculative_win)
-            if outcome.ok:
-                results.append(outcome.result)
-                continue
-            wave_report.failed.append(pid)
-            attempts = redispatches.get(pid, 0) + 1
-            redispatches[pid] = attempts
-            if attempts <= PLANNER_REDISPATCHES:
-                retry_queue.append(pid)
-            else:
-                report.failed_partitions.append(pid)
-        return results
 
     @staticmethod
     def _exactness(failed: list[int],

@@ -2,11 +2,10 @@
 
 Every driver structure that reasons about *queries* — share-group
 clustering, cross-query triangle tightening, the hot-query registry's
-near-duplicate scan — used to be a greedy linear scan over query
-objects, each scan paying one trajectory-distance call per comparison.
-Fine for six-query benches; a wall for the thousand-query streams the
-serving layer admits.  This module provides the index those scans are
-rewired onto:
+near-duplicate scan — would, as a linear scan over query objects, pay
+one trajectory-distance call per comparison.  Fine for six-query
+benches; a wall for the thousand-query streams the serving layer
+admits.  This module provides the index those scans run against:
 
 * :class:`QueryIndex` — a mutable VP-tree (vantage-point tree, per the
   N-tree line of exact metric trajectory indexes) over arbitrary keyed
@@ -14,9 +13,8 @@ rewired onto:
   triangle inequality prunes subtrees during range / nearest-neighbor
   searches, so a lookup touches ``O(log n)``-ish items instead of all
   of them.  In **non-metric** mode (DTW/EDR/LCSS, whose distances
-  certify nothing) the index degrades to a deterministic linear scan —
-  same results, same cost as the greedy code it replaces — while the
-  two cheap layers below still apply:
+  certify nothing) the index degrades to a deterministic linear scan,
+  while the two cheap layers below still apply:
 
   - **Content fingerprints** as a pre-filter: items whose point arrays
     are byte-identical are *twins* of one node; a twin insert, and any
@@ -298,8 +296,7 @@ class QueryIndex:
         sound wherever a missed match only forfeits an optimization).
         ``first=True`` returns only the earliest-inserted match — the
         share-clustering contract ("join the first representative in
-        range") — letting the non-metric scan stop at its first hit,
-        exactly like the greedy loop it replaces.
+        range") — letting the non-metric scan stop at its first hit.
         """
         obj_ckey = content_key(obj)
         state = _SearchState(budget)

@@ -10,7 +10,8 @@ This module supplies that front-end:
   (``max_wait_ms`` / ``max_batch``) into ``top_k_batch`` waves on the
   persistent :class:`~repro.cluster.engine.ExecutionEngine` pools, and
   each request resolves its own future with a per-request
-  :class:`~repro.repose.QueryOutcome` sliced out of the batch — so a
+  :class:`~repro.repose.QueryOutcome` sliced out of the batch
+  (:meth:`~repro.repose.BatchOutcome.query_outcome`) — so a
   partial batch (under a :class:`~repro.cluster.engine.FaultPolicy`)
   degrades per-request, not per-service.
 
@@ -168,28 +169,13 @@ class HotQueryRegistry:
         self.hits += 1
         return entry
 
-    def recent(self, limit: int) -> list[RegistryEntry]:
-        """Up to ``limit`` most recently used valid entries.
-
-        The planner scans these as candidate near-duplicate
-        representatives; the bound keeps the per-batch scan O(limit),
-        not O(capacity).
-        """
-        out: list[RegistryEntry] = []
-        for entry in reversed(self._entries.values()):
-            if len(out) >= limit:
-                break
-            if self._valid(entry):
-                out.append(entry)
-        return out
-
     def neighbors(self, query, eps: float, distance, metric: bool = False,
                   budget: int | None = None, query_key: bytes | None = None,
                   ) -> tuple[list[tuple[RegistryEntry, float]], int]:
         """All valid stored entries within ``eps`` of ``query``.
 
-        The batch planner's near-duplicate seeding lookup
-        (``query_index`` mode): returns ``(matches, fresh_calls)``
+        The batch planner's near-duplicate seeding lookup: returns
+        ``(matches, fresh_calls)``
         where each match is ``(entry, distance)`` and ``fresh_calls``
         counts the trajectory-distance evaluations actually performed.
         Under ``metric=True`` the lookup runs against a lazily
@@ -206,8 +192,7 @@ class HotQueryRegistry:
         queries' lookups nearly free; a truncated lookup just returns
         fewer candidates (the seed it feeds is a minimum over
         certified bounds, so any subset is sound).  Entries whose
-        stored query has no point array are never candidates,
-        mirroring the planner's greedy scan.
+        stored query has no point array are never candidates.
         """
         from .query_index import QueryIndex
 
@@ -614,29 +599,7 @@ class ReposeService:
             for index, request in enumerate(requests):
                 self.stats.latencies.append(now - request.enqueued)
                 if not request.future.done():
-                    request.future.set_result(
-                        self._slice_outcome(outcome, index))
-
-    @staticmethod
-    def _slice_outcome(batch_outcome, index: int):
-        """Project one query's :class:`~repro.repose.QueryOutcome` out
-        of a :class:`~repro.repose.BatchOutcome` (per-request
-        degradation: a partial batch fails only the affected
-        requests' exactness/completeness, not the whole service)."""
-        from ..repose import QueryOutcome
-        plan = (batch_outcome.plan.per_query[index]
-                if batch_outcome.plan is not None
-                and index < len(batch_outcome.plan.per_query) else None)
-        failed = (list(batch_outcome.failed_partitions[index])
-                  if batch_outcome.failed_partitions else [])
-        exact = (batch_outcome.exact[index]
-                 if batch_outcome.exact else True)
-        return QueryOutcome(
-            result=batch_outcome.results[index],
-            wall_seconds=batch_outcome.wall_seconds,
-            simulated_seconds=batch_outcome.simulated_seconds,
-            schedule=batch_outcome.schedule, plan=plan,
-            complete=not failed, exact=exact, failed_partitions=failed)
+                    request.future.set_result(outcome.query_outcome(index))
 
     def _fail_pending(self) -> None:
         """Fail every still-queued request/write (non-drain stop)."""

@@ -519,14 +519,17 @@ def local_search_multi(trie, queries: list[Trajectory], k: int,
     # staggered member's task runs one engine wave after its
     # representative's, so the tensors it should share were gathered in
     # a previous call.  Ungrouped multi-query calls keep a fresh
-    # per-call view (sharing within the task only), preserving their
-    # established accounting.
+    # per-call view (sharing within the task only).
     persistent = (batch_refine and share_groups is not None
                   and any(label is not None for label in share_groups))
     if persistent:
         shared = _persistent_view(trie.store)
+    elif batch_refine and len(queries) > 1:
+        shared = _SharedGatherStore(trie.store)
     else:
-        shared = _SharedGatherStore(trie.store) if batch_refine else None
+        # One ungrouped query has nobody to share a gather with: a memo
+        # view could only miss, so it reads the trie's own store.
+        shared = None
     order = list(range(len(queries)))
     if share_groups is not None:
         # Group members run consecutively (stable: grouped queries

@@ -1059,8 +1059,8 @@ class BatchRefiner:
         radius).  Used only to skip screening work for candidates that
         are already out — never to change results.
     kernels:
-        Kernel backend name (``"numpy"`` | ``"cnative"`` | ``"numba"``
-        | ``"auto"``/None); resolved once via
+        Kernel backend name (``"numpy"`` | ``"cnative"`` |
+        ``"auto"``/None); resolved once via
         :func:`repro.distances.kernels.get_kernels`.
     """
 

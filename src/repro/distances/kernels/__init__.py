@@ -12,10 +12,8 @@ small backend registry so the same refinement pipeline can run them as
   compiler and called through :mod:`ctypes` (no third-party
   dependency; the shared object is cached on disk keyed by a source
   hash, so the compile cost is paid once per machine);
-* ``"numba"`` — ``numba.njit`` translations, used when numba is
-  installed (``pip install .[kernels]``);
-* ``"auto"`` — the fastest available of the above, preferring numba,
-  then cnative, then the numpy fallback.
+* ``"auto"`` — cnative when it is available, else the numpy
+  fallback.
 
 **Equivalence contract.**  Every compiled kernel iterates in the same
 association order as the numpy sweep it mirrors, so for any candidate
@@ -43,8 +41,8 @@ query/candidate length difference of the stack, and when the widened
 window covers the whole matrix the exact kernel runs instead (with
 ``dk = inf``) and ``is_exact`` is True.
 
-Backend selection: ``Repose.build(kernels=...)``, the per-call
-``plan_options={"kernels": ...}``, the CLI ``--kernels`` flag, or the
+Backend selection: ``Repose.build(kernels=...)``, the CLI
+``--kernels`` flag, or the
 :data:`KERNELS_ENV` environment variable (which overrides the
 ``"auto"`` default, e.g. ``REPRO_KERNELS=numpy`` forces the fallback).
 """
@@ -74,7 +72,7 @@ KERNELS_ENV = "REPRO_KERNELS"
 
 #: Recognized backend names, in ``"auto"`` preference order (last is
 #: the always-available fallback).
-BACKEND_NAMES = ("numba", "cnative", "numpy")
+BACKEND_NAMES = ("cnative", "numpy")
 
 #: Per-measure tolerance of the compiled-vs-numpy equivalence
 #: contract.  All zeros: every compiled kernel replicates the numpy
@@ -99,7 +97,7 @@ class KernelSet:
     ``(values, exact_mask)``; banded kernels map
     ``(tensor, lengths, band)`` to ``(values, is_exact)`` — see the
     module docstring for the full contract.  ``compiled`` is True for
-    the native tiers (the cost model uses it to scale per-candidate
+    the native tier (the cost model uses it to scale per-candidate
     rates and GIL fractions).
     """
 
@@ -144,8 +142,8 @@ def _numpy_set() -> KernelSet:
 
 
 def _compiled_set(name: str, raw) -> KernelSet:
-    """Wrap a raw compiled backend (``cnative``/``numba_backend``
-    module) in the registry's uniform kernel signatures.
+    """Wrap a raw compiled backend (the ``cnative`` module) in the
+    registry's uniform kernel signatures.
 
     The wrappers own the radius resolution and full-coverage fallback
     so every backend makes the same banded/exact decision as the numpy
@@ -203,9 +201,6 @@ def _backend_available(name: str) -> bool:
     elif name == "cnative":
         from . import cnative
         ok = cnative.available()
-    elif name == "numba":
-        from . import numba_backend
-        ok = numba_backend.available()
     else:
         ok = False
     _AVAILABLE[name] = ok
@@ -253,11 +248,8 @@ def get_kernels(name: str | None = None) -> KernelSet:
     if cached is None:
         if resolved == "numpy":
             cached = _numpy_set()
-        elif resolved == "cnative":
+        else:
             from . import cnative
             cached = _compiled_set("cnative", cnative)
-        else:
-            from . import numba_backend
-            cached = _compiled_set("numba", numba_backend)
         _SETS[resolved] = cached
     return cached

@@ -306,10 +306,33 @@ class BatchOutcome:
     complete: bool = True
     exact: list[bool] = field(default_factory=list)
     failed_partitions: list[list[int]] = field(default_factory=list)
+    #: Measured seconds of every partition task the plan dispatched,
+    #: wave by wave (empty for ``plan="single"``).
+    task_seconds: list[float] = field(default_factory=list)
 
     @property
     def utilization(self) -> float:
         return self.schedule.utilization if self.schedule else 1.0
+
+    def query_outcome(self, index: int) -> QueryOutcome:
+        """Project query ``index``'s :class:`QueryOutcome` out of the
+        batch: its own result, plan and degradation state (a partial
+        batch costs only the affected queries their completeness), with
+        the batch's timings — a single query is a batch of one, and the
+        serving layer answers each request with its slice."""
+        plan = (self.plan.per_query[index]
+                if self.plan is not None else None)
+        failed = (list(self.failed_partitions[index])
+                  if self.failed_partitions else [])
+        return QueryOutcome(
+            result=self.results[index],
+            wall_seconds=self.wall_seconds,
+            simulated_seconds=self.simulated_seconds,
+            per_partition_seconds=list(self.task_seconds),
+            schedule=self.schedule, plan=plan,
+            complete=not failed,
+            exact=self.exact[index] if self.exact else True,
+            failed_partitions=failed)
 
     def require_complete(self) -> "BatchOutcome":
         """Fail-fast guard: raise unless every query saw every
@@ -362,53 +385,44 @@ class RPTrieLocalIndex:
         self._trie = SuccinctRPTrie(trie) if self.succinct else trie
         return self
 
-    def _search_options(self, kernels: str | None = None) -> dict:
-        """Search options with a per-call kernel backend override.
-
-        ``kernels`` (from the planner's ``plan_options``) wins over the
-        engine-level ``search_options`` entry; None keeps the
-        configured options untouched.
-        """
-        if kernels is None:
-            return self.search_options
-        return {**self.search_options, "kernels": kernels}
-
     def top_k(self, query: Trajectory, k: int,
               dqp: np.ndarray | None = None,
-              dk: float = float("inf"),
-              kernels: str | None = None) -> TopKResult:
-        """Local top-k; ``dk`` optionally seeds an external threshold,
-        ``kernels`` overrides the DP kernel backend for this call."""
+              dk: float = float("inf")) -> TopKResult:
+        """Local top-k; ``dk`` optionally seeds an external threshold."""
         if self._trie is None:
             raise IndexNotBuiltError("call build() before top_k()")
         return local_search(self._trie, query, k, dqp=dqp, dk=dk,
-                            **self._search_options(kernels))
+                            **self.search_options)
 
     def top_k_multi(self, queries: list[Trajectory], k: int,
                     kwargs_list: list[dict],
                     share_groups: list | None = None) -> list[TopKResult]:
         """Local top-k for a whole query group, sharing leaf gathers.
 
-        The batch planner's multi-query entry point
+        The wave loop's entry point
         (:func:`repro.core.search.local_search_multi`): one call runs
         every query of a partition-affine group, building each touched
         leaf's padded candidate tensor once for the group.  Per-query
         ``kwargs_list`` entries carry the same keys :meth:`top_k`
-        accepts (``dqp``, ``dk``); ``share_groups`` forwards the batch
+        accepts (``dqp``, ``dk``; anything else is a ``TypeError``, as
+        it would be there); ``share_groups`` forwards the batch
         planner's near-duplicate labels so group members run
         back-to-back against the shared gather store.  Results are
         bit-identical to calling :meth:`top_k` per query.
         """
         if self._trie is None:
             raise IndexNotBuiltError("call build() before top_k_multi()")
-        kernels = next((kwargs["kernels"] for kwargs in kwargs_list
-                        if kwargs.get("kernels") is not None), None)
+        unknown = {key for kwargs in kwargs_list
+                   for key in kwargs} - {"dqp", "dk"}
+        if unknown:
+            raise TypeError("top_k_multi() got unexpected query kwargs "
+                            f"{sorted(unknown)}")
         return local_search_multi(
             self._trie, queries, k,
             dqps=[kwargs.get("dqp") for kwargs in kwargs_list],
             dks=[kwargs.get("dk", float("inf")) for kwargs in kwargs_list],
             share_groups=share_groups,
-            **self._search_options(kernels))
+            **self.search_options)
 
     def probe(self, query: Trajectory,
               dqp: np.ndarray | None = None) -> PartitionProbe:
@@ -427,11 +441,10 @@ class RPTrieLocalIndex:
             use_lbo=options.get("use_lbo", True))
 
     def range_query(self, query: Trajectory, radius: float,
-                    dqp: np.ndarray | None = None,
-                    kernels: str | None = None) -> TopKResult:
+                    dqp: np.ndarray | None = None) -> TopKResult:
         if self._trie is None:
             raise IndexNotBuiltError("call build() before range_query()")
-        options = self._search_options(kernels)
+        options = self.search_options
         return local_range_search(
             self._trie, query, radius, dqp=dqp,
             use_pivots=options.get("use_pivots", True),
@@ -489,20 +502,22 @@ class DistributedTopK:
         :class:`Repose` and :func:`make_baseline` fill it in; only
         custom index factories need to pass it explicitly.
     kernels_hint:
-        Resolved DP kernel backend name (``"numpy"``/``"cnative"``/
-        ``"numba"``) forwarded to the ``"auto"`` engine's cost model:
+        Resolved DP kernel backend name (``"numpy"``/``"cnative"``)
+        forwarded to the ``"auto"`` engine's cost model:
         compiled kernels shift per-candidate rates (and the
         serial/thread/process break-even) enough that the model keys
         its calibrated rates by ``measure+backend``.
         :meth:`Repose.build` fills it in from its ``kernels``
         argument; never affects results, only backend placement.
     plan:
-        Query execution plan: ``"waves"`` (default) routes single
-        top-k and range queries through the two-phase
-        :class:`~repro.cluster.planner.QueryPlanner` — probe
-        partitions, dispatch them by promise in waves, and broadcast
-        the tightening global k-th-best distance into later waves —
-        while ``"single"`` keeps the paper's one-shot map-then-merge.
+        Query execution plan: ``"waves"`` (default) routes top-k
+        queries (single ones as a batch of one) and range queries
+        through the two-phase wave planner
+        (:mod:`repro.cluster.planner`, :mod:`repro.cluster.batch`) —
+        probe partitions, dispatch them by promise in waves, and
+        broadcast the tightening global k-th-best distance into later
+        waves — while ``"single"`` keeps the paper's one-shot
+        map-then-merge.
         Both plans return bit-identical results; waves only prune
         work.  Individual calls may override via ``top_k(...,
         plan=...)``.
@@ -514,17 +529,7 @@ class DistributedTopK:
         near-duplicate sharing, default off); ``{"sample_size": int}``
         (shared-sample candidates behind the batch planner's sampled
         non-metric cross-query bounds; default auto-sizes to
-        ``max(2k, 8)``, 0 disables); ``{"query_index": bool}``
-        (default True: route the batch planner's driver-side query
-        scans — share clustering, cross-query tightening, registry
-        neighbor lookups — through the VP-tree metric index of
-        :mod:`repro.cluster.query_index`, lifting the 64-query cap on
-        cross-query reuse; False restores the legacy greedy scans as a
-        comparison baseline — results are identical either way);
-        ``{"kernels": name}`` (DP kernel backend for leaf refinement —
-        see :mod:`repro.distances.kernels` — forwarded to every local
-        search, overriding the index's build-time setting; never
-        changes results).
+        ``max(2k, 8)``, 0 disables).
     fault_policy:
         Optional :class:`~repro.cluster.engine.FaultPolicy` installed
         on the engine: partition tasks are retried with backoff, timed
@@ -538,9 +543,7 @@ class DistributedTopK:
 
     #: Every knob :attr:`plan_options` accepts; anything else raises
     #: ``ValueError`` up front instead of being silently ignored.
-    _PLAN_OPTION_KEYS = frozenset(
-        {"wave_size", "share_eps", "sample_size", "kernels",
-         "query_index"})
+    _PLAN_OPTION_KEYS = frozenset({"wave_size", "share_eps", "sample_size"})
 
     def __init__(self, dataset: TrajectoryDataset,
                  index_factory: Callable[[], object],
@@ -601,21 +604,6 @@ class DistributedTopK:
                 f"unknown plan option(s) {unknown}; "
                 f"supported knobs: {supported}")
         return options
-
-    def _inject_kernels(self, kwargs: dict,
-                        options: dict | None = None) -> dict:
-        """Thread the planner-level kernel backend into query kwargs.
-
-        Only acts when a ``kernels`` plan option is actually set (the
-        engine-level :attr:`plan_options` by default, or a per-call
-        merge) and the caller did not already pass one — baseline
-        indexes, whose ``top_k`` knows nothing of kernel backends,
-        never see an injected key.
-        """
-        opts = self.plan_options if options is None else options
-        if "kernels" in opts and "kernels" not in kwargs:
-            kwargs = {**kwargs, "kernels": opts["kernels"]}
-        return kwargs
 
     def _workload_hints(self, num_tasks: int, batch_width: int = 1,
                         queries_per_task: float = 1.0) -> WorkloadHints:
@@ -695,12 +683,13 @@ class DistributedTopK:
         if self._rdd is None:
             raise IndexNotBuiltError("call build() before top_k()")
         if self._resolve_plan(plan) == "waves":
-            return self._top_k_waves(query, k, query_kwargs)
+            # A single query is a batch of one.
+            return self._top_k_waves([query], k,
+                                     [query_kwargs]).query_outcome(0)
         start = time.perf_counter()
         self.context.hints = self._workload_hints(self.num_partitions)
-        query_kwargs = self._inject_kernels(
-            {**self._query_kwargs_for(query, query_kwargs),
-             **query_kwargs})
+        query_kwargs = {**self._query_kwargs_for(query, query_kwargs),
+                        **query_kwargs}
         partials = (self._rdd
                     .map_partitions(_TopKPartition(query, k, query_kwargs))
                     .collect())
@@ -717,11 +706,22 @@ class DistributedTopK:
             schedule=schedule,
         )
 
-    def _planner(self) -> QueryPlanner:
-        """The wave planner bound to this engine's execution pools."""
-        return QueryPlanner(self.context.engine,
-                            wave_size=self.plan_options.get("wave_size"),
-                            probe_cache=self.context.probe_cache)
+    def _planner(self, options: dict | None = None,
+                 registry=None) -> BatchQueryPlanner:
+        """The wave planner bound to this engine's execution pools,
+        configured from ``options`` (default: the engine-level
+        :attr:`plan_options`)."""
+        options = self.plan_options if options is None else options
+        return BatchQueryPlanner(
+            self.context.engine,
+            wave_size=options.get("wave_size"),
+            probe_cache=self.context.probe_cache,
+            query_distance=self._query_distance_fn(),
+            share_eps=options.get("share_eps"),
+            share_distance=self._share_distance_fn(),
+            sampled_bound=self._sampled_bound_fn(),
+            sample_size=options.get("sample_size"),
+            registry=registry)
 
     def _query_distance_fn(self) -> Callable | None:
         """Driver-side query-to-query distance for the batch planner's
@@ -749,40 +749,44 @@ class DistributedTopK:
         which already get the stronger triangle coupling)."""
         return None
 
-    def _top_k_waves(self, query: Trajectory, k: int,
-                     query_kwargs: dict) -> QueryOutcome:
-        """Two-phase waved top-k (see :mod:`repro.cluster.planner`).
+    def _top_k_waves(self, queries: list[Trajectory], k: int,
+                     provided: list[dict],
+                     options: dict | None = None,
+                     registry=None) -> BatchOutcome:
+        """Waved top-k at any batch width (:mod:`repro.cluster.batch`).
 
-        Probes every partition driver-side, dispatches them by promise
-        in waves, folds each wave into a running global merge and
-        broadcasts the tightened ``dk`` into the next wave.  The
-        result is bit-identical to the single-shot plan; the simulated
-        time treats every wave boundary as a cluster barrier.
+        Probes every (query, partition) pair driver-side, dispatches
+        partitions by promise in waves — one task per partition for all
+        the queries bound for it — folds each wave into the per-query
+        running merges and broadcasts the tightened thresholds into the
+        next wave.  ``provided`` holds each query's caller-supplied
+        kwargs, layered over :meth:`_query_kwargs_for`.  Every result
+        is bit-identical to the single-shot plan; the simulated time
+        treats every wave boundary as a cluster barrier.
         """
         start = time.perf_counter()
-        parts = self._parts
-        kwargs = self._inject_kernels(
-            {**self._query_kwargs_for(query, query_kwargs),
-             **query_kwargs})
-        result, wave_timings, report = self._planner().execute_top_k(
-            parts, query, k, kwargs,
-            make_task=lambda rp, kw: _LocalTopKTask(rp, query, k, kw),
-            hints=self._workload_hints(self.num_partitions))
+        kwargs_list = [{**self._query_kwargs_for(query, kwargs), **kwargs}
+                       for query, kwargs in zip(queries, provided)]
+        results, wave_timings, report = self._planner(
+            options, registry).execute_batch(
+            self._parts, queries, k, kwargs_list,
+            make_task=lambda rp, group, kws, shares: _LocalMultiTopKTask(
+                rp, group, k, kws, share_groups=shares),
+            hints=self._workload_hints(
+                self.num_partitions,
+                queries_per_task=max(len(queries), 1)))
         self.context.record_timings(wave_timings)
-        timings = self.context.last_timings
         wall = time.perf_counter() - start
         schedule = simulate_schedule_waves(wave_timings, self.cluster_spec)
-        return QueryOutcome(
-            result=result,
-            wall_seconds=wall,
+        return BatchOutcome(
+            results=results, wall_seconds=wall,
             simulated_seconds=schedule.makespan,
-            per_partition_seconds=[t.seconds for t in timings],
-            schedule=schedule,
-            plan=report,
+            schedule=schedule, plan=report,
             complete=report.complete,
-            exact=report.exact,
-            failed_partitions=list(report.failed_partitions),
-        )
+            exact=[plan.exact for plan in report.per_query],
+            failed_partitions=[list(plan.failed_partitions)
+                               for plan in report.per_query],
+            task_seconds=[t.seconds for t in self.context.last_timings])
 
     def calibrate(self, query: Trajectory | None = None,
                   k: int = 10) -> float:
@@ -804,8 +808,7 @@ class DistributedTopK:
         rp = max(parts, key=lambda rp: sum(len(t) for t in rp.trajectories))
         if query is None:
             query = rp.trajectories[0]
-        kwargs = self._inject_kernels(self._query_kwargs_for(query))
-        task = _LocalTopKTask(rp, query, k, kwargs)
+        task = _LocalTopKTask(rp, query, k, self._query_kwargs_for(query))
         points = sum(len(t) for t in rp.trajectories)
         rate = self.context.engine.calibrate(self.measure_hint, task, points,
                                              kernels=self.kernels_hint)
@@ -820,8 +823,8 @@ class DistributedTopK:
         """Run a batch of queries under one coordinated plan.
 
         ``plan="waves"`` (the engine default) routes the whole batch
-        through the multi-query
-        :class:`~repro.cluster.batch.BatchQueryPlanner`: every
+        through the wave loop :meth:`top_k` runs at width one
+        (:class:`~repro.cluster.batch.BatchQueryPlanner`): every
         (query, partition) pair is probed once (served from the
         context's epoch-invalidated probe cache on repeats), queries
         are grouped by partition affinity so one dispatched task
@@ -838,11 +841,8 @@ class DistributedTopK:
         triangle inequality cannot (``{"sample_size": n}`` sizes it, 0
         disables).  All of the planner's driver-side query scans run
         against the VP-tree metric index of
-        :mod:`repro.cluster.query_index` by default, which lifts the
-        64-query cap on cross-query reuse;
-        ``plan_options={"query_index": False}`` restores the legacy
-        greedy scans (identical results, more driver-side distance
-        calls).  ``plan="single"`` runs the queries sequentially,
+        :mod:`repro.cluster.query_index`, so cross-query reuse has no
+        batch-width cap.  ``plan="single"`` runs the queries sequentially,
         each as the paper's one-shot fan-out; ``plan="fifo"`` runs the
         Section V-A one-shot comparison path
         (:meth:`top_k_batch_scheduled`).  All plans return one merged
@@ -872,8 +872,10 @@ class DistributedTopK:
             return self.top_k_batch_scheduled(queries, k)
         plan_options = self._validate_plan_options(plan_options)
         if self._resolve_plan(plan) == "waves":
-            return self._top_k_batch_waves(queries, k, plan_options,
-                                           registry=registry)
+            return self._top_k_waves(
+                queries, k, [{}] * len(queries),
+                options={**self.plan_options, **plan_options},
+                registry=registry)
         start = time.perf_counter()
         outcomes = [self.top_k(query, k, plan="single")
                     for query in queries]
@@ -886,45 +888,6 @@ class DistributedTopK:
             simulated_seconds=sum(outcome.simulated_seconds
                                   for outcome in outcomes),
             schedule=None)
-
-    def _top_k_batch_waves(self, queries: list[Trajectory], k: int,
-                           plan_options: dict | None = None,
-                           registry=None) -> BatchOutcome:
-        """Batched wave execution (see :mod:`repro.cluster.batch`)."""
-        start = time.perf_counter()
-        options = {**self.plan_options, **(plan_options or {})}
-        kwargs_list = [
-            self._inject_kernels(self._query_kwargs_for(query),
-                                 options=options)
-            for query in queries]
-        planner = BatchQueryPlanner(
-            self.context.engine,
-            wave_size=options.get("wave_size"),
-            probe_cache=self.context.probe_cache,
-            query_distance=self._query_distance_fn(),
-            share_eps=options.get("share_eps"),
-            share_distance=self._share_distance_fn(),
-            sampled_bound=self._sampled_bound_fn(),
-            sample_size=options.get("sample_size"),
-            registry=registry,
-            query_index=options.get("query_index", True))
-        results, wave_timings, report = planner.execute_batch(
-            self._parts, queries, k, kwargs_list,
-            make_task=lambda rp, group, kws, shares: _LocalMultiTopKTask(
-                rp, group, k, kws, share_groups=shares),
-            hints=self._workload_hints(
-                self.num_partitions,
-                queries_per_task=max(len(queries), 1)))
-        self.context.record_timings(wave_timings)
-        wall = time.perf_counter() - start
-        schedule = simulate_schedule_waves(wave_timings, self.cluster_spec)
-        return BatchOutcome(results=results, wall_seconds=wall,
-                            simulated_seconds=schedule.makespan,
-                            schedule=schedule, plan=report,
-                            complete=report.complete,
-                            exact=[plan.exact for plan in report.per_query],
-                            failed_partitions=[list(plan.failed_partitions)
-                                               for plan in report.per_query])
 
     def top_k_batch_scheduled(self, queries: list[Trajectory],
                               k: int) -> BatchOutcome:
@@ -951,7 +914,7 @@ class DistributedTopK:
         for query in queries:
             # One driver-side kwargs computation per query (not per
             # task): partitions share e.g. the query-pivot distances.
-            kwargs = self._inject_kernels(self._query_kwargs_for(query))
+            kwargs = self._query_kwargs_for(query)
             for rp in parts:
                 tasks.append(_LocalTopKTask(rp, query, k, kwargs))
         # A whole batch amortizes one backend dispatch: the hints say
@@ -1011,9 +974,8 @@ class DistributedTopK:
             return self._range_waves(query, radius, query_kwargs)
         start = time.perf_counter()
         self.context.hints = self._workload_hints(self.num_partitions)
-        query_kwargs = self._inject_kernels(
-            {**self._query_kwargs_for(query, query_kwargs),
-             **query_kwargs})
+        query_kwargs = {**self._query_kwargs_for(query, query_kwargs),
+                        **query_kwargs}
         partials = (self._rdd
                     .map_partitions(_RangePartition(query, radius,
                                                     query_kwargs))
@@ -1033,9 +995,8 @@ class DistributedTopK:
         """Probed, waved range search (planner-skipped partitions)."""
         start = time.perf_counter()
         parts = self._parts
-        kwargs = self._inject_kernels(
-            {**self._query_kwargs_for(query, query_kwargs),
-             **query_kwargs})
+        kwargs = {**self._query_kwargs_for(query, query_kwargs),
+                  **query_kwargs}
         partials, wave_timings, report = self._planner().execute_range(
             parts, query, radius, kwargs,
             make_task=lambda rp, kw: _LocalRangeTask(rp, query, radius, kw),
@@ -1253,8 +1214,8 @@ class Repose(DistributedTopK):
         kernels:
             DP kernel backend for the batch refinement engine
             (:mod:`repro.distances.kernels`): ``"numpy"`` (the
-            always-available vectorized sweeps), ``"numba"`` /
-            ``"cnative"`` (compiled tiers), or ``"auto"``/None (the
+            always-available vectorized sweeps), ``"cnative"`` (the
+            compiled tier), or ``"auto"``/None (the
             fastest available; the ``REPRO_KERNELS`` environment
             variable overrides the auto choice).  Requesting an
             unavailable backend raises at build time.  Backends never

@@ -230,28 +230,10 @@ class TestRunningTopKVector:
         assert results[0].items == [(1.0, 1), (2.0, 2)]
         assert results[1].items == [(5.0, 5)]
 
-    def test_broadcast_vector_cross_tightens(self):
-        vector = RunningTopKVector(3, k=1)
-        vector.fold(0, [self._result([(1.0, 1)])])
-        vector.fold(1, [self._result([(10.0, 2)])])
-        # query 2 holds nothing yet: dk = inf.
-        pairwise = np.array([[0.0, 2.0, 0.5],
-                             [2.0, 0.0, 9.0],
-                             [0.5, 9.0, 0.0]])
-        thresholds, tightened = vector.broadcast_vector(pairwise)
-        # q1: min(10, 1 + 2) = 3; q2: min(inf, 1 + 0.5) = 1.5.
-        assert thresholds.tolist() == [1.0, 3.0, 1.5]
-        assert tightened == 2
-        # The merges themselves are untouched.
-        assert vector.dk(1) == 10.0
-        assert vector.dk(2) == float("inf")
-
-    def test_broadcast_without_pairwise_is_identity(self):
+    def test_broadcast_without_bounds_is_identity(self):
         vector = RunningTopKVector(2, k=1)
         vector.fold(0, [self._result([(1.0, 1)])])
-        thresholds, tightened = vector.broadcast_vector(None)
-        assert thresholds.tolist() == [1.0, float("inf")]
-        assert tightened == 0
+        assert vector.broadcast_vector().tolist() == [1.0, float("inf")]
 
     def test_stats_fold_field_generically_per_query(self):
         """merge_stats folding stays field-generic under multi-query
@@ -356,12 +338,11 @@ class TestBatchPlannerMechanics:
         assert any(dk == pytest.approx(1.5)
                    for dk in parts[1].index.seen_dks)
 
-    def test_pairwise_skips_duplicates_and_respects_limit(self,
-                                                          monkeypatch):
+    def test_cross_index_skips_duplicates_and_budgets_lookups(
+            self, monkeypatch):
         """Query-to-query distances are only computed between distinct
-        representatives, and the legacy greedy mode disables cross
-        reuse outright past CROSS_QUERY_LIMIT while the indexed mode
-        keeps it under a per-lookup budget."""
+        representatives, and CROSS_QUERY_LIMIT is a per-lookup
+        fresh-call budget, not a batch-width cap."""
         import repro.cluster.batch as batch_mod
         calls = []
 
@@ -374,36 +355,19 @@ class TestBatchPlannerMechanics:
         queries = [Trajectory([(0.0, 0.0)], traj_id=1),
                    Trajectory([(0.0, 0.0)], traj_id=2),   # duplicate
                    Trajectory([(3.0, 3.0)], traj_id=3)]
-        for query_index in (True, False):
+        for limit in (64, 1):
             calls.clear()
+            monkeypatch.setattr(batch_mod, "CROSS_QUERY_LIMIT", limit)
             planner = BatchQueryPlanner(ExecutionEngine(), wave_size=1,
-                                        query_distance=distance,
-                                        query_index=query_index)
+                                        query_distance=distance)
             _, _, report = planner.execute_batch(
                 parts, queries, 1, [{}, {}, {}],
                 make_task=self._make_task)
             assert report.queries_deduplicated == 1
-            # Only the 2 representatives pair up: one distance (the
-            # index's single routing insert, or the one matrix cell).
+            # Only the 2 representatives pair up: the index's single
+            # routing insert, which stays within even a budget of 1.
             assert len(calls) == 1
             assert report.query_distance_calls == 1
-        calls.clear()
-        monkeypatch.setattr(batch_mod, "CROSS_QUERY_LIMIT", 1)
-        legacy = BatchQueryPlanner(ExecutionEngine(), wave_size=1,
-                                   query_distance=distance,
-                                   query_index=False)
-        legacy.execute_batch(parts, queries, 1, [{}, {}, {}],
-                             make_task=self._make_task)
-        assert calls == []  # over the limit: cross reuse disabled
-        indexed = BatchQueryPlanner(ExecutionEngine(), wave_size=1,
-                                    query_distance=distance)
-        _, _, report = indexed.execute_batch(
-            parts, queries, 1, [{}, {}, {}], make_task=self._make_task)
-        # Indexed mode still couples the two representatives — the cap
-        # survives only as a fresh-call budget per lookup, and the one
-        # tree-build call stays within it.
-        assert len(calls) == 1
-        assert report.query_distance_calls == 1
 
     def test_per_query_wave_accounting(self, skewed_dataset):
         """Satellite: waves / threshold_broadcasts / partitions_skipped
@@ -714,11 +678,8 @@ class TestSampledBounds:
     def test_broadcast_vector_folds_external_bounds(self):
         vector = RunningTopKVector(2, k=1)
         vector.fold(0, [TopKResult(items=[(4.0, 1)])])
-        bounds = np.array([2.0, 3.5])
-        thresholds, tightened = vector.broadcast_vector(None,
-                                                        bounds=bounds)
+        thresholds = vector.broadcast_vector(np.array([2.0, 3.5]))
         assert thresholds.tolist() == [2.0, 3.5]
-        assert tightened == 0  # pairwise tightenings only
         # The merges themselves stay untouched.
         assert vector.dk(0) == 4.0
 
@@ -739,36 +700,20 @@ class TestRunningTopKVectorBoundaries:
         return lambda: [rp.index.top_k(query, 1, **kwargs)
                         for query, kwargs in zip(queries, kwargs_list)]
 
-    def test_cross_query_cap_at_64_distinct_queries(self):
-        """Boundary: the legacy greedy mode builds the pairwise matrix
-        at exactly CROSS_QUERY_LIMIT (64) distinct queries and disables
-        cross reuse at 65; the indexed mode keeps cross reuse alive
-        past the cap with strictly fewer distance calls than the full
-        matrix would need."""
+    def test_cross_query_reuse_past_64_distinct_queries(self):
+        """Boundary: cross reuse has no batch-width cap.  At 65
+        distinct queries only q0 finds anything in wave 1, so the
+        other 64 queries enter wave 2 with dk=inf and receive the
+        finite cross bound 1.0 + 0.25 — within the per-lookup
+        fresh-call budget, with strictly fewer distance calls than
+        the all-pairs matrix would need (the lookups themselves ride
+        on the pair distances the tree build already cached)."""
         calls = []
 
         def distance(a, b):
             calls.append((a, b))
             return 0.25
 
-        for count, expect_pairs in ((64, 64 * 63 // 2), (65, 0)):
-            calls.clear()
-            planner = BatchQueryPlanner(ExecutionEngine(), wave_size=1,
-                                        query_distance=distance,
-                                        query_index=False)
-            queries = [f"q{i}" for i in range(count)]
-            results, _, report = planner.execute_batch(
-                self._scripted_parts(), queries, 1,
-                [{} for _ in queries], make_task=self._make_task)
-            assert len(calls) == expect_pairs, count
-            assert report.query_distance_calls == expect_pairs
-            assert all(r.items == [(1.0, 7)] for r in results)
-        # Lifted cap: at 65 queries the indexed mode still tightens —
-        # only q0 finds anything in wave 1, so the other 64 queries
-        # enter wave 2 with dk=inf and receive the finite cross bound
-        # 1.0 + 0.25 — within the per-lookup fresh-call budget instead
-        # of the all-pairs matrix (the lookups themselves ride on the
-        # pair distances the tree build already cached).
         class _FirstOnly(_ScriptedIndex):
             def top_k(self, query, k, dk=float("inf"), **kwargs):
                 self.seen_dks.append(dk)
@@ -776,7 +721,6 @@ class TestRunningTopKVectorBoundaries:
                     return TopKResult(items=[])
                 return TopKResult(items=list(self.items))
 
-        calls.clear()
         parts = [_ScriptedPart(_FirstOnly(0.0, [(1.0, 7)])),
                  _ScriptedPart(_ScriptedIndex(0.2, [(1.0, 7)]))]
         planner = BatchQueryPlanner(ExecutionEngine(), wave_size=1,
@@ -806,10 +750,35 @@ class TestRunningTopKVectorBoundaries:
         assert batch.results[0].items == engine.top_k(
             query, 5, plan="single").result.items
 
+    def test_one_query_batch_pays_for_no_cross_query_machinery(
+            self, skewed_dataset, monkeypatch):
+        """With one active query the sampled bound is a k-th upper
+        bound over the query's own held items — it can never undercut
+        its own dk — and a gather memo view can only miss: a width-1
+        DTW batch evaluates no banded bound, never walks the
+        partitions' trajectory lists and reads the tries' own stores."""
+        import repro.cluster.batch as batch_mod
+        import repro.core.search as search_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cross-query machinery ran at width 1")
+
+        engine = _build(skewed_dataset, "dtw")
+        query = skewed_dataset.trajectories[3]
+        expected = engine.top_k(query, 5, plan="single").result.items
+        monkeypatch.setattr(batch_mod, "_trajectory_points", forbidden)
+        monkeypatch.setattr(search_mod, "_SharedGatherStore", forbidden)
+        for queries in ([query], [query, query]):   # a twin stays inactive
+            batch = engine.top_k_batch(queries, 5)
+            assert len(batch.plan.per_query[0].waves) > 1
+            assert batch.plan.sampled_bound_calls == 0
+            assert batch.plan.sampled_tightenings == 0
+            assert batch.plan.query_distance_calls == 0
+            assert all(r.items == expected for r in batch.results)
+
     def test_empty_vector_broadcast(self):
         vector = RunningTopKVector(0, k=3)
-        thresholds, tightened = vector.broadcast_vector(None)
-        assert thresholds.tolist() == [] and tightened == 0
+        assert vector.broadcast_vector().tolist() == []
         assert vector.results() == []
 
 

@@ -132,23 +132,6 @@ class TestQuery:
         assert "near-duplicate sharing (eps=100)" in out
         assert "share groups" in out
 
-    def test_batch_no_query_index_matches_indexed_run(self, csv_dataset,
-                                                      capsys):
-        """--no-query-index restores the legacy greedy driver scans;
-        the printed per-query results must be identical either way."""
-        args = ["query", str(csv_dataset), "--k", "2",
-                "--partitions", "4", "--delta", "0.15",
-                "--batch", "3", "--share-eps", "100.0"]
-        assert main(args) == 0
-        indexed = capsys.readouterr().out
-        assert main(args + ["--no-query-index"]) == 0
-        legacy = capsys.readouterr().out
-        picked = [line for line in indexed.splitlines()
-                  if "results, best" in line]
-        assert picked
-        assert picked == [line for line in legacy.splitlines()
-                          if "results, best" in line]
-
     def test_batch_fifo_plan_reports(self, csv_dataset, capsys):
         assert main(["query", str(csv_dataset), "--k", "2",
                      "--partitions", "4", "--delta", "0.15",

@@ -14,6 +14,9 @@ and the ``dk``-driven adaptive band screen.
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,9 @@ from repro.cluster.driver import (
     merge_stats,
     merge_top_k,
 )
-from repro.cluster.engine import ExecutionEngine, WorkloadHints, choose_backend
+from repro.cluster.batch import BatchQueryPlanner
+from repro.cluster.engine import (ExecutionEngine, FaultPolicy, WorkloadHints,
+                                  choose_backend)
 from repro.cluster.planner import QueryPlanner
 from repro.cluster.rdd import ClusterContext
 from repro.cluster.scheduler import (
@@ -150,6 +155,131 @@ class TestWavedBitIdentity:
         with pytest.raises(ValueError):
             Repose.build(skewed_dataset, measure="hausdorff", delta=0.4,
                          num_partitions=2, plan="spiral")
+
+
+class _FailsFirst:
+    """Local-index stand-in whose first ``failures`` searches raise."""
+
+    def __init__(self, index, failures=1):
+        self._index = index
+        self.supports_threshold = index.supports_threshold
+        self.probe = index.probe
+        self._left = failures
+        self._lock = threading.Lock()
+
+    def _search(self, name, *args, **kwargs):
+        with self._lock:
+            failing = self._left > 0
+            self._left -= failing
+        if failing:
+            raise RuntimeError("transient partition failure")
+        return getattr(self._index, name)(*args, **kwargs)
+
+    def top_k_multi(self, *args, **kwargs):
+        return self._search("top_k_multi", *args, **kwargs)
+
+    def range_query(self, *args, **kwargs):
+        return self._search("range_query", *args, **kwargs)
+
+
+#: fault name -> engine policy under which one failing search is
+#: recovered by an engine-level retry / by a planner re-dispatch wave.
+_FAULTS = {
+    None: None,
+    "engine-retry": FaultPolicy(max_retries=1, backoff_seconds=0.001),
+    "planner-redispatch": FaultPolicy(max_retries=0),
+}
+
+
+class TestSingleIsBatchOfOne:
+    @pytest.mark.parametrize("fault", list(_FAULTS))
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_top_k_equals_width_one_batch(self, skewed_dataset, name,
+                                          backend, fault):
+        """``top_k(q, k)`` is ``top_k_batch([q], k)`` sliced at 0: same
+        items, same stats, same plan report field for field (bar the
+        wall-clock probe time).  Two identically built engines, so
+        neither run sees the other's probe cache."""
+        outcomes = []
+        for run in ("top_k", "batch"):
+            engine = _build(skewed_dataset, name, engine=backend,
+                            fault_policy=_FAULTS[fault])
+            query = skewed_dataset.trajectories[7]
+            if fault is not None:
+                # The most promising partition: always dispatched.
+                pid = engine.top_k(query, 6).plan.order[0]
+                engine.context.probe_cache.bump_epoch()
+                engine._parts[pid].index = _FailsFirst(
+                    engine._parts[pid].index)
+            outcomes.append(
+                engine.top_k(query, 6) if run == "top_k"
+                else engine.top_k_batch([query], 6).query_outcome(0))
+        single, sliced = outcomes
+        assert single.result.items == sliced.result.items
+        assert single.result.stats == sliced.result.stats
+        assert (dataclasses.replace(single.plan, probe_seconds=0.0)
+                == dataclasses.replace(sliced.plan, probe_seconds=0.0))
+        assert single.plan.mode == "waves"
+        assert single.complete and sliced.complete
+        assert (single.failed_partitions, single.exact) == ([], True)
+        dispatched = sum(len(w.partitions) for w in single.plan.waves)
+        assert len(single.per_partition_seconds) == dispatched
+        assert len(sliced.per_partition_seconds) == dispatched
+        if fault == "engine-retry":
+            assert single.plan.retries == single.result.stats.retries == 1
+        if fault == "planner-redispatch":
+            assert [w.failed for w in single.plan.waves].count([pid]) == 1
+            assert single.plan.waves[-1].index == 4    # the retry wave
+
+    def test_execute_top_k_is_the_width_one_call(self, skewed_dataset):
+        """Planner level: ``execute_top_k`` returns query 0 of
+        ``execute_batch([query])``."""
+        engine = _build(skewed_dataset, "hausdorff")
+        query = skewed_dataset.trajectories[3]
+
+        def make_task(rp, queries, kwargs_list, shares):
+            return lambda: rp.index.top_k_multi(queries, 4, kwargs_list)
+
+        def planner():
+            return BatchQueryPlanner(ExecutionEngine(), wave_size=3)
+
+        result, _, plan = planner().execute_top_k(
+            engine._parts, query, 4, {}, make_task)
+        results, _, report = planner().execute_batch(
+            engine._parts, [query], 4, [{}], make_task)
+        assert result == results[0]
+        assert (dataclasses.replace(plan, probe_seconds=0.0)
+                == dataclasses.replace(report.per_query[0],
+                                       probe_seconds=0.0))
+        assert result.items == engine.top_k(query, 4,
+                                            plan="single").result.items
+
+    def test_waved_range_redispatches_and_skips(self, skewed_dataset):
+        """Range queries ride the same wave builder and failure fold: a
+        partition whose task failed is re-dispatched in a retry wave,
+        one whose probe bound exceeds the radius is never searched, and
+        the answer is the single-shot one."""
+        engine = _build(skewed_dataset, "hausdorff",
+                        fault_policy=FaultPolicy(max_retries=0))
+        query = skewed_dataset.trajectories[2]
+        radius = engine.top_k(query, 8, plan="single").result.items[-1][0]
+        expected = engine.range_query(query, radius, plan="single")
+        clean = engine.range_query(query, radius, plan="waves")
+        assert clean.plan.partitions_skipped > 0
+        pid = clean.plan.waves[0].partitions[0]
+        engine._parts[pid].index = _FailsFirst(engine._parts[pid].index)
+        waved = engine.range_query(query, radius, plan="waves")
+        assert waved.result.items == expected.result.items
+        assert waved.complete and waved.exact
+        assert waved.plan.waves[0].failed == [pid]
+        assert waved.plan.waves[-1].partitions == [pid]   # the retry wave
+        assert len(waved.plan.waves) == len(clean.plan.waves) + 1
+        skipped = [p for w in waved.plan.waves for p in w.skipped]
+        assert skipped == [p for w in clean.plan.waves for p in w.skipped]
+        assert all(w.dk_before == w.dk_after == radius
+                   for w in waved.plan.waves)
+        assert waved.result.stats.partitions_skipped == len(skipped)
 
 
 class TestWaveStats:

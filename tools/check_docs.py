@@ -31,7 +31,6 @@ DOC_MODULES = [
     "src/repro/distances/batch.py",
     "src/repro/distances/kernels/__init__.py",
     "src/repro/distances/kernels/cnative.py",
-    "src/repro/distances/kernels/numba_backend.py",
     "src/repro/core/store.py",
     "src/repro/core/search.py",
     "src/repro/cluster/engine.py",
