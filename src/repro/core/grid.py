@@ -18,7 +18,7 @@ import numpy as np
 
 from ..exceptions import GridError
 from ..types import BoundingBox
-from .zorder import z_decode, z_decode_array, z_encode, z_encode_array
+from .zorder import z_decode, z_decode_cells, z_encode, z_encode_array
 
 __all__ = ["Grid"]
 
@@ -123,14 +123,25 @@ class Grid:
         return (self.origin_x + (col + 0.5) * self.delta,
                 self.origin_y + (row + 0.5) * self.delta)
 
+    def _cells_of(self, zs) -> np.ndarray:
+        """``(n, 2)`` (column, row) pairs of a z-value array, all of
+        which must lie inside the grid."""
+        zs = np.asarray(zs, dtype=np.int64)
+        if zs.size and not 0 <= zs.min() <= zs.max() < self.num_cells:
+            raise GridError(f"z-value outside {self.resolution}x"
+                            f"{self.resolution} grid in {zs.tolist()}")
+        return z_decode_cells(zs)
+
     def reference_points(self, zs) -> np.ndarray:
         """Vectorized reference points for an array of z-values."""
-        zs = np.asarray(zs, dtype=np.int64)
-        cols, rows = z_decode_array(zs)
-        out = np.empty((len(zs), 2), dtype=np.float64)
-        out[:, 0] = self.origin_x + (cols + 0.5) * self.delta
-        out[:, 1] = self.origin_y + (rows + 0.5) * self.delta
-        return out
+        return (np.array([self.origin_x, self.origin_y])
+                + (self._cells_of(zs) + 0.5) * self.delta)
+
+    def cell_origins(self, zs) -> np.ndarray:
+        """Vectorized lower-left cell corners (:meth:`cell_bounds`'
+        ``min_x, min_y``) for an array of z-values."""
+        return (np.array([self.origin_x, self.origin_y])
+                + self._cells_of(zs) * self.delta)
 
     def own_cell_center_distances(self, points: np.ndarray) -> np.ndarray:
         """Distance of each point to the center of *its own* cell.

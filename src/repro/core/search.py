@@ -1,32 +1,48 @@
 """Best-first top-k search over an RP-Trie (paper, Algorithm 2).
 
-Nodes are explored in ascending order of their lower bound.  Internal
-nodes are ranked by ``max(LBo, LBp)``; ``$`` leaves by ``max(LBt, LBp)``.
-A node is pruned when its bound reaches the current k-th best distance
-``dk``; because bounds are sound for whole subtrees, the loop may break
-as soon as the popped bound reaches ``dk``.
+Subtrees are explored in ascending order of their lower bound.
+Internal nodes are ranked by ``max(LBo, LBp)``; ``$`` leaves by
+``max(LBt, LBp)``.  A subtree is pruned when its bound reaches the
+current k-th best distance ``dk``; because bounds are sound for whole
+subtrees, the loop may break as soon as the popped bound reaches ``dk``.
 
-Leaf refinement — the dominant query cost — runs through the vectorized
-batch engine by default: a leaf's candidates are gathered from the
-trie's columnar :class:`~repro.core.store.TrajectoryStore` into one
-padded tensor, batch lower bounds are computed in a single broadcast
+**The unit of traversal is a run, not a node.**  A *run* is a maximal
+chain of internal nodes each having exactly one child, which is
+internal too (no ``$`` child) — one edge of the path-compressed trie.
+Below the first level the tries built here are mostly such chains, so
+the one child-expansion step (:func:`_expand`, shared by
+:func:`probe_search`, :func:`local_search` and
+:func:`local_range_search`) follows each child down its run through the
+node interface both trie flavours share (``iter_children``,
+``is_leaf``, ``z_value``) and pays one ``computer.extend`` call and one
+heap entry for the whole run.  This is sound because every node of a
+run has the same subtree: the bound of the run's last cell, its pivot
+bound and its ``max_traj_len`` are those of the run's last node, and
+since bounds never decrease along a path, an extension that stops
+early at ``dk`` has already proved the subtree out.  Nothing about runs
+is stored: they are rediscovered while walking, so inserts and the
+frozen succinct trie need no bookkeeping.
+
+Leaf refinement runs through the vectorized batch engine: a leaf's
+candidates are gathered from the trie's columnar
+:class:`~repro.core.store.TrajectoryStore` into one padded tensor,
+batch lower bounds are computed in a single broadcast
 (:mod:`repro.distances.batch`), Sakoe-Chiba-banded DPs cap the
 DTW/Frechet threshold from above, and the surviving candidates' exact
 distances come from staged *batched* DPs that replicate the
-sequential per-pair DP's float operations.  Results are bit-identical
-to the per-trajectory early-abandoning loop, which is still available
-via ``batch_refine=False`` (used by the exactness property tests and
-the old-vs-new refinement benchmark).
+sequential per-pair DP's float operations.  ``batch_refine=False``
+selects the per-trajectory early-abandoning loop instead; results are
+bit-identical, which the exactness property tests rely on.
 
-Search statistics (nodes visited/pruned, refinements) are collected so
+Search statistics (runs visited/pruned, refinements) are collected so
 experiments can report pruning effectiveness.
 
 Two driver-facing hooks support the two-phase query planner
 (:mod:`repro.cluster.planner`):
 
-* :func:`probe_search` summarizes a partition from the root's
-  first-level bounds alone — no refinement — so the driver can order
-  partitions by promise and skip ones whose every trajectory is
+* :func:`probe_search` summarizes a partition from the bounds of the
+  root's first-level runs alone — no refinement — so the driver can
+  order partitions by promise and skip ones whose every trajectory is
   provably out;
 * ``local_search(..., dk=...)`` seeds the search with an externally
   known k-th-best distance.  The threshold is applied *strictly* (only
@@ -46,6 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..distances.batch import refine_range, refine_top_k
+from ..distances.kernels import get_kernels
 from ..distances.threshold import distance_with_threshold
 from ..types import Trajectory
 from .bounds import make_bound_computer
@@ -58,6 +75,11 @@ __all__ = ["TopKResult", "SearchStats", "ResultHeap", "PartitionProbe",
 @dataclass
 class SearchStats:
     """Counters describing one search run.
+
+    ``nodes_visited`` counts heap (or stack) pops: one per run of the
+    trie and one per ``$`` leaf reached — the cells inside a run are not
+    separate visits.  ``nodes_pruned`` counts the runs and leaves whose
+    bound reached the threshold and were dropped instead of queued.
 
     The first block counts local per-partition work; the second is
     filled in by the driver-side query planner (zero for purely local
@@ -152,17 +174,102 @@ class ResultHeap:
                       key=lambda item: (item[0], item[1]))
 
 
-#: Backwards-compatible alias (pre-batch-refinement name).
-_ResultHeap = ResultHeap
-
-
 def _pivot_bound(dqp: np.ndarray | None, node) -> float:
     """``LBp``: triangle-inequality bound from the node's HR array."""
     if dqp is None or node.hr_min is None:
         return 0.0
-    low = dqp - node.hr_max
-    high = node.hr_min - dqp
-    return max(float(low.max()), float(high.max()), 0.0)
+    # A handful of pivots: Python's max over lists beats ndarray.max.
+    return max(0.0, *(dqp - node.hr_max).tolist(),
+               *(node.hr_min - dqp).tolist())
+
+
+def _bound_computer(trie, query: Trajectory, kernels: str | None):
+    """The query's bound computer over ``trie``'s grid, sweeping runs
+    on the requested kernel backend."""
+    computer = make_bound_computer(trie.measure, trie.grid, query.points)
+    if kernels is not None:
+        computer.kernels = get_kernels(kernels)
+    return computer
+
+
+def _query_pivot_distances(trie, query: Trajectory, use_pivots: bool,
+                           dqp: np.ndarray | None, stats=None):
+    """``dqp`` for the pivot bound: None when pivots are off or absent,
+    the caller's shared vector when given, else computed here."""
+    if not (use_pivots and trie.pivots):
+        return None
+    if dqp is None:
+        dqp = np.array([trie.measure.distance(query, p)
+                        for p in trie.pivots])
+        if stats is not None:
+            stats.distance_computations += len(trie.pivots)
+    return dqp
+
+
+def _follow_run(node):
+    """The run that starts at internal ``node``: its last node — the
+    first one with a ``$`` child or other than exactly one child — and
+    its cells' z-values in path order."""
+    cells = [node.z_value]
+    while True:
+        children = node.iter_children()
+        child = next(children, None)
+        if (child is None or child.is_leaf
+                or next(children, None) is not None):
+            return node, cells
+        node = child
+        cells.append(node.z_value)
+
+
+def _expand(computer, node, state, depth: int, cutoff: float,
+            dqp: np.ndarray | None, use_lbt: bool = True,
+            use_lbo: bool = True):
+    """Expand ``node``: bound every child subtree, one run at a time.
+
+    Returns ``(kept, pruned)``: ``kept`` holds ``(bound, node, state,
+    depth)`` for each child whose bound stays below ``cutoff`` — for a
+    ``$`` leaf the leaf itself under the parent's state, for an
+    internal child the *last* node of its run under the state extended
+    across the whole run — and ``pruned`` counts the children dropped.
+    The pivot bound needs no path state and is the same for every node
+    of a run (same subtree, same ``HR``), so it is read off the child
+    first and a run it already prunes is neither walked nor extended;
+    ``cutoff`` also stops a run's extension early (a disabled ``LBo``
+    never prunes, so its runs are always extended in full).
+    """
+    pruned = 0
+    children = []
+    for child in node.iter_children():
+        pivot = 0.0 if dqp is None else _pivot_bound(dqp, child)
+        if pivot >= cutoff:
+            pruned += 1
+            continue
+        cells = None
+        if not child.is_leaf:
+            child, cells = _follow_run(child)
+        children.append((child, cells, pivot))
+    runs = [cells for _, cells, _ in children if cells is not None]
+    if len(runs) > 1:
+        computer.touch(runs)
+    kept = []
+    run_cutoff = cutoff if use_lbo else float("inf")
+    for child, cells, pivot in children:
+        if cells is None:
+            bound = (computer.leaf_bound(state, child.dmax, depth)
+                     if use_lbt else 0.0)
+            child_state, child_depth = state, depth
+        else:
+            child_state, bound = computer.extend(
+                state, cells, child.max_traj_len, run_cutoff)
+            if not use_lbo:
+                bound = 0.0
+            child_depth = depth + len(cells)
+        bound = max(bound, pivot)
+        if bound < cutoff:
+            kept.append((bound, child, child_state, child_depth))
+        else:
+            pruned += 1
+    return kept, pruned
 
 
 @dataclass(frozen=True)
@@ -191,36 +298,24 @@ class PartitionProbe:
 def probe_search(trie, query: Trajectory,
                  use_pivots: bool = True, use_lbt: bool = True,
                  use_lbo: bool = True,
-                 dqp: np.ndarray | None = None) -> PartitionProbe:
+                 dqp: np.ndarray | None = None,
+                 kernels: str | None = None) -> PartitionProbe:
     """Probe one RP-Trie: root/first-level lower bounds only.
 
     The planner's phase-one primitive: costs one bound extension per
-    first-level child (O(children x query length)), touches no leaves
-    and computes no distances beyond the (driver-shared) query-pivot
-    distances.  Ablation switches mirror :func:`local_search` so the
-    probe is sound under the same configuration it will later search
-    with (a disabled bound contributes 0, which never over-estimates).
+    first-level run (O(first-level cells x query length)), touches no
+    leaves and computes no distances beyond the (driver-shared)
+    query-pivot distances.  Ablation switches mirror
+    :func:`local_search` so the probe is sound under the same
+    configuration it will later search with (a disabled bound
+    contributes 0, which never over-estimates).
     """
     trie._require_built()
-    measure = trie.measure
-    computer = make_bound_computer(measure, trie.grid, query.points)
-    if not (use_pivots and trie.pivots):
-        dqp = None
-    elif dqp is None:
-        dqp = np.array([measure.distance(query, p) for p in trie.pivots])
-
-    state = computer.initial_state()
-    bounds: list[float] = []
-    for child in trie.root.iter_children():
-        if child.is_leaf:
-            bound = (computer.leaf_bound(state, child.dmax, 0)
-                     if use_lbt else 0.0)
-        else:
-            _, lbo = computer.extend(state, child.z_value,
-                                     child.max_traj_len)
-            bound = lbo if use_lbo else 0.0
-        bound = max(bound, _pivot_bound(dqp, child) if use_pivots else 0.0)
-        bounds.append(bound)
+    computer = _bound_computer(trie, query, kernels)
+    dqp = _query_pivot_distances(trie, query, use_pivots, dqp)
+    kept, unbounded = _expand(computer, trie.root, computer.initial_state(),
+                              0, float("inf"), dqp, use_lbt, use_lbo)
+    bounds = [bound for bound, *_ in kept] + [float("inf")] * unbounded
     return PartitionProbe(
         bound=min(bounds) if bounds else float("inf"),
         child_bounds=tuple(sorted(bounds)),
@@ -416,7 +511,7 @@ def local_search(trie, query: Trajectory, k: int,
         padded tensor once; any substitute must return bit-identical
         arrays for the same ids, so results never depend on it.
     kernels:
-        DP kernel backend for batch refinement
+        Kernel backend for run extension and batch refinement
         (:mod:`repro.distances.kernels`); None/"auto" picks the
         fastest available.  Backends never change results, only speed.
     """
@@ -428,18 +523,13 @@ def local_search(trie, query: Trajectory, k: int,
     results = ResultHeap(k, threshold=float(np.nextafter(dk, np.inf))
                          if np.isfinite(dk) else float("inf"))
 
-    computer = make_bound_computer(measure, trie.grid, query.points)
-    if not (use_pivots and trie.pivots):
-        dqp = None
-    elif dqp is None:
-        dqp = np.array([measure.distance(query, p) for p in trie.pivots])
-        stats.distance_computations += len(trie.pivots)
+    computer = _bound_computer(trie, query, kernels)
+    dqp = _query_pivot_distances(trie, query, use_pivots, dqp, stats)
 
     counter = itertools.count()
-    root_state = computer.initial_state()
     # Entries: (priority, tiebreak, node, path_state, depth)
     heap: list[tuple[float, int, object, object, int]] = [
-        (0.0, next(counter), trie.root, root_state, 0)
+        (0.0, next(counter), trie.root, computer.initial_state(), 0)
     ]
 
     while heap:
@@ -455,23 +545,12 @@ def local_search(trie, query: Trajectory, k: int,
                                kernels=kernels)
             continue
 
-        for child in node.iter_children():
-            if child.is_leaf:
-                bound = (computer.leaf_bound(state, child.dmax, depth)
-                         if use_lbt else 0.0)
-                child_state = state
-                child_depth = depth
-            else:
-                child_state, lbo = computer.extend(
-                    state, child.z_value, child.max_traj_len)
-                bound = lbo if use_lbo else 0.0
-                child_depth = depth + 1
-            bound = max(bound, _pivot_bound(dqp, child) if use_pivots else 0.0)
-            if bound < results.dk:
-                heapq.heappush(
-                    heap, (bound, next(counter), child, child_state, child_depth))
-            else:
-                stats.nodes_pruned += 1
+        kept, pruned = _expand(computer, node, state, depth, cutoff, dqp,
+                               use_lbt, use_lbo)
+        stats.nodes_pruned += pruned
+        for bound, child, child_state, child_depth in kept:
+            heapq.heappush(
+                heap, (bound, next(counter), child, child_state, child_depth))
 
     return TopKResult(items=results.sorted_items(), stats=stats)
 
@@ -584,12 +663,12 @@ def local_range_search(trie, query: Trajectory, radius: float,
     stats = SearchStats()
     items: list[tuple[float, int]] = []
 
-    computer = make_bound_computer(measure, trie.grid, query.points)
-    if not (use_pivots and trie.pivots):
-        dqp = None
-    elif dqp is None:
-        dqp = np.array([measure.distance(query, p) for p in trie.pivots])
-        stats.distance_computations += len(trie.pivots)
+    computer = _bound_computer(trie, query, kernels)
+    dqp = _query_pivot_distances(trie, query, use_pivots, dqp, stats)
+    # A subtree survives while its bound is <= radius, i.e. strictly
+    # below the next float (also what a distance equal to the radius
+    # needs to be computed exactly and included).
+    cutoff = float(np.nextafter(radius, np.inf))
 
     stack = [(trie.root, computer.initial_state(), 0)]
     while stack:
@@ -606,28 +685,14 @@ def local_range_search(trie, query: Trajectory, radius: float,
             else:
                 for tid in tids:
                     traj = trie.trajectory(tid)
-                    # Threshold just above the radius so distances equal
-                    # to the radius are computed exactly and included.
                     dist = distance_with_threshold(
-                        measure, query.points, traj.points,
-                        float(np.nextafter(radius, np.inf)))
+                        measure, query.points, traj.points, cutoff)
                     stats.exact_refinements += 1
                     if dist <= radius:
                         items.append((dist, tid))
             continue
-        for child in node.iter_children():
-            if child.is_leaf:
-                bound = computer.leaf_bound(state, child.dmax, depth)
-                child_state = state
-                child_depth = depth
-            else:
-                child_state, bound = computer.extend(
-                    state, child.z_value, child.max_traj_len)
-                child_depth = depth + 1
-            bound = max(bound, _pivot_bound(dqp, child) if use_pivots else 0.0)
-            if bound <= radius:
-                stack.append((child, child_state, child_depth))
-            else:
-                stats.nodes_pruned += 1
+        kept, pruned = _expand(computer, node, state, depth, cutoff, dqp)
+        stats.nodes_pruned += pruned
+        stack.extend(entry[1:] for entry in kept)
 
     return TopKResult(items=sorted(items), stats=stats)

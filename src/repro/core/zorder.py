@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["interleave", "deinterleave", "z_encode", "z_decode",
-           "z_encode_array", "z_decode_array"]
+           "z_encode_array", "z_decode_cells"]
 
 # Magic-number spreading for 32-bit coordinates -> 64-bit Morton codes.
 _MASKS = (
@@ -92,18 +92,26 @@ def z_encode_array(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return (spread(v) << np.uint64(1)) | spread(w)
 
 
-def z_decode_array(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`z_decode`: (columns, rows) for a z-value array."""
-    z = zs.astype(np.uint64)
+#: (column, row) of every 8-bit Morton code.  A z-value decodes one
+#: byte at a time, each byte holding four bits of either coordinate.
+_BYTE_CELLS = np.array([deinterleave(code) for code in range(256)],
+                       dtype=np.int64)
 
-    def compact(a: np.ndarray) -> np.ndarray:
-        a = a & np.uint64(_MASKS[4])
-        a = (a | (a >> np.uint64(1))) & np.uint64(_MASKS[3])
-        a = (a | (a >> np.uint64(2))) & np.uint64(_MASKS[2])
-        a = (a | (a >> np.uint64(4))) & np.uint64(_MASKS[1])
-        a = (a | (a >> np.uint64(8))) & np.uint64(_MASKS[0])
-        a = (a | (a >> np.uint64(16))) & np.uint64(0xFFFF_FFFF)
-        return a
 
-    return (compact(z >> np.uint64(1)).astype(np.int64),
-            compact(z).astype(np.int64))
+def z_decode_cells(zs: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`z_decode`: the ``(n, 2)`` int64 array of
+    (column, row) pairs for a z-value array.
+
+    One table gather per byte that any z-value still has set, so the
+    z-values of a small grid cost a handful of array operations.
+    """
+    z = np.asarray(zs).astype(np.uint64)
+    byte, eight = np.uint64(0xFF), np.uint64(8)
+    cells = _BYTE_CELLS[z & byte]
+    shift = 4
+    z = z >> eight
+    while z.any():
+        cells = cells | (_BYTE_CELLS[z & byte] << shift)
+        shift += 4
+        z = z >> eight
+    return cells

@@ -1,13 +1,17 @@
-"""Compiled kernel tier for the exact/banded elastic DPs.
+"""Compiled kernel tier for the exact/banded elastic DPs and the
+trie traversal's run extension.
 
 The batch refinement engine (:mod:`repro.distances.batch`) bottoms out
 in five DP families — row-sweep DTW, anti-diagonal Frechet, the ERP
 gap-point edit DP, and the EDR/LCSS integer edit sweeps, plus their
-Sakoe-Chiba banded screens.  This package puts those sweeps behind a
-small backend registry so the same refinement pipeline can run them as
+Sakoe-Chiba banded screens — and the best-first traversal
+(:mod:`repro.core.search`) in the six bound computers' column sweeps
+along a trie run (:mod:`.runs`).  This package puts those sweeps behind
+a small backend registry so the same pipeline can run them as
 
 * ``"numpy"`` — the vectorized sweeps in :mod:`repro.distances.batch`
-  (always available; the reference implementation);
+  and the per-cell column steps of :mod:`.runs` (always available; the
+  reference implementation);
 * ``"cnative"`` — C translations compiled at first use with the host C
   compiler and called through :mod:`ctypes` (no third-party
   dependency; the shared object is cached on disk keyed by a source
@@ -39,7 +43,12 @@ return ``(values, exact_mask)``.  Banded kernels take the tensor,
 ``(values, is_exact)`` — the radius is widened to the largest
 query/candidate length difference of the stack, and when the widened
 window covers the whole matrix the exact kernel runs instead (with
-``dk = inf``) and ``is_exact`` is True.
+``dk = inf``) and ``is_exact`` is True.  Run kernels take a bound
+computer's path state, its table of cell rows, the run's int64 row
+indices and a cutoff, and return the state after the last cell they
+consumed and that cell's bound (:mod:`.runs` has the per-measure
+signatures); state and bound are bit-identical across backends, also
+when the cutoff stops the sweep.
 
 Backend selection: ``Repose.build(kernels=...)``, the CLI
 ``--kernels`` flag, or the
@@ -78,9 +87,11 @@ BACKEND_NAMES = ("cnative", "numpy")
 #: contract.  All zeros: every compiled kernel replicates the numpy
 #: sweep's association order (or performs only exact selections /
 #: integer arithmetic), so no reassociation slack is needed anywhere.
-#: The equivalence tests and ``benchmarks/bench_kernels.py`` assert
-#: against these values.
+#: ``hausdorff`` has no exact/banded DP here; its entry is for the
+#: run-extension family.  The equivalence tests and
+#: ``benchmarks/bench_kernels.py`` assert against these values.
 TOLERANCES = {
+    "hausdorff": 0.0,
     "dtw": 0.0,
     "frechet": 0.0,
     "erp": 0.0,
@@ -91,12 +102,15 @@ TOLERANCES = {
 
 @dataclass(frozen=True)
 class KernelSet:
-    """One backend's implementations of the five DP families.
+    """One backend's implementations of the five DP families and the
+    six run-extension sweeps.
 
     Exact kernels map ``(tensor..., lengths, dk)`` to
     ``(values, exact_mask)``; banded kernels map
-    ``(tensor, lengths, band)`` to ``(values, is_exact)`` — see the
-    module docstring for the full contract.  ``compiled`` is True for
+    ``(tensor, lengths, band)`` to ``(values, is_exact)``; run kernels
+    map ``(state..., rows, slots, ..., cutoff)`` to
+    ``(state..., bound)`` — see the module docstring for the full
+    contract.  ``compiled`` is True for
     the native tier (the cost model uses it to scale per-candidate
     rates and GIL fractions).
     """
@@ -112,6 +126,12 @@ class KernelSet:
     frechet_banded: Callable
     edr_banded: Callable
     lcss_banded: Callable
+    hausdorff_run: Callable
+    frechet_run: Callable
+    dtw_run: Callable
+    erp_run: Callable
+    edr_run: Callable
+    lcss_run: Callable
 
 
 _SETS: dict[str, KernelSet] = {}
@@ -121,6 +141,7 @@ _AVAILABLE: dict[str, bool] = {}
 def _numpy_set() -> KernelSet:
     """The always-available fallback, mapped onto the batch sweeps."""
     from .. import batch as b
+    from . import runs
 
     def _exact(fn):
         def run(*args, dk=np.inf):
@@ -138,6 +159,12 @@ def _numpy_set() -> KernelSet:
         frechet_banded=b.batch_frechet_banded,
         edr_banded=b.batch_edr_banded,
         lcss_banded=b.batch_lcss_banded,
+        hausdorff_run=runs.hausdorff_run,
+        frechet_run=runs.frechet_run,
+        dtw_run=runs.dtw_run,
+        erp_run=runs.erp_run,
+        edr_run=runs.edr_run,
+        lcss_run=runs.lcss_run,
     )
 
 
@@ -188,6 +215,12 @@ def _compiled_set(name: str, raw) -> KernelSet:
         frechet_banded=frechet_banded,
         edr_banded=edr_banded,
         lcss_banded=lcss_banded,
+        hausdorff_run=raw.hausdorff_run,
+        frechet_run=raw.frechet_run,
+        dtw_run=raw.dtw_run,
+        erp_run=raw.erp_run,
+        edr_run=raw.edr_run,
+        lcss_run=raw.lcss_run,
     )
 
 

@@ -1,8 +1,10 @@
-"""C translations of the batch DP sweeps, compiled at first use.
+"""C translations of the batch DP sweeps and of the run-extension
+column sweeps, compiled at first use.
 
 The five exact kernels and four banded kernels below are line-for-line
-translations of the numpy sweeps in :mod:`repro.distances.batch`,
-compiled once with the host C compiler (``cc``/``gcc``; override with
+translations of the numpy sweeps in :mod:`repro.distances.batch`, the
+six run kernels of the column steps in :mod:`.runs`; all are compiled
+once with the host C compiler (``cc``/``gcc``; override with
 ``REPRO_KERNEL_CC``) into a shared object that is cached on disk keyed
 by a hash of the source, and called through :mod:`ctypes` (which
 releases the GIL for the duration of each call — the thread execution
@@ -35,7 +37,8 @@ import numpy as np
 __all__ = ["available", "cache_dir",
            "dtw_exact", "frechet_exact", "erp_exact", "edr_exact",
            "lcss_exact", "dtw_banded", "frechet_banded", "edr_banded",
-           "lcss_banded"]
+           "lcss_banded", "hausdorff_run", "frechet_run", "dtw_run",
+           "erp_run", "edr_run", "lcss_run"]
 
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
@@ -432,6 +435,187 @@ void lcss_banded(const unsigned char *match, long long cc, long long m,
     free(prev);
     free(cur);
 }
+
+/* ---- Run extension (repro.core.bounds; numpy reference: runs.py) ----
+   Each kernel sweeps one bound computer's column DP over the cells of
+   a run: `rows` is the per-query table of cell rows (`width` values
+   per row), `slots[0..count)` the run's row indices in path order.
+   `col` holds the previous column on entry (or nothing when
+   `has_prev` is 0) and the column of the last consumed cell on return;
+   the sweep stops once a cell's bound reaches `cutoff` and returns
+   that cell's bound.  Each step keeps the numpy step's association
+   order; Python's two-argument min/max keep the first operand unless
+   the second is strictly better, which `<` / `>` reproduce. */
+
+/* np.min of a column (nan-propagating fold). */
+static double colmin(const double *col, long long n) {
+    double best = col[0];
+    for (long long i = 1; i < n; i++) best = nmin(best, col[i]);
+    return best;
+}
+
+double hausdorff_run(double *r, double *cmax_io, const double *rows,
+                     const long long *slots, long long count,
+                     long long m, double slack, double cutoff) {
+    double cmax = *cmax_io;
+    double bound = 0.0;
+    for (long long s = 0; s < count; s++) {
+        const double *d = rows + slots[s] * m;
+        for (long long i = 0; i < m; i++) r[i] = nmin(r[i], d[i]);
+        double dmin = colmin(d, m);
+        if (dmin > cmax) cmax = dmin;
+        bound = cmax - slack;
+        if (0.0 > bound) bound = 0.0;
+        if (bound >= cutoff) break;
+    }
+    *cmax_io = cmax;
+    return bound;
+}
+
+double frechet_run(double *col, long long has_prev, const double *rows,
+                   const long long *slots, long long count, long long m,
+                   double slack, double cutoff) {
+    double bound = 0.0;
+    for (long long s = 0; s < count; s++) {
+        const double *d = rows + slots[s] * m;
+        if (s == 0 && !has_prev) {
+            double run = d[0];
+            col[0] = run;
+            for (long long i = 1; i < m; i++) {
+                run = nmax(run, d[i]);
+                col[i] = run;
+            }
+        } else {
+            double above = col[0];
+            double running = d[0];
+            if (above > running) running = above;
+            col[0] = running;
+            for (long long i = 1; i < m; i++) {
+                double here = col[i];
+                double best = above;
+                if (here < best) best = here;
+                if (running < best) best = running;
+                running = best > d[i] ? best : d[i];
+                above = here;
+                col[i] = running;
+            }
+        }
+        bound = colmin(col, m) - slack;
+        if (0.0 > bound) bound = 0.0;
+        if (bound >= cutoff) break;
+    }
+    return bound;
+}
+
+double dtw_run(double *col, long long has_prev, const double *rows,
+               const long long *slots, long long count, long long m,
+               double cutoff) {
+    double bound = 0.0;
+    for (long long s = 0; s < count; s++) {
+        const double *d = rows + slots[s] * m;
+        if (s == 0 && !has_prev) {
+            double acc = d[0];
+            col[0] = acc;
+            for (long long i = 1; i < m; i++) { acc += d[i]; col[i] = acc; }
+        } else {
+            double above = col[0];
+            double prefix = d[0];
+            double runmin = (above + d[0]) - prefix;
+            col[0] = prefix + runmin;
+            for (long long i = 1; i < m; i++) {
+                double here = col[i];
+                double cand = nmin(above, here) + d[i];
+                prefix += d[i];
+                runmin = nmin(runmin, cand - prefix);
+                above = here;
+                col[i] = prefix + runmin;
+            }
+        }
+        bound = colmin(col, m);
+        if (bound >= cutoff) break;
+    }
+    return bound;
+}
+
+/* `col` and `prefix` have m + 1 entries; a row has m + 1 values, the
+   last being the gap point's distance to the cell. */
+double erp_run(double *col, const double *rows, const long long *slots,
+               long long count, long long m, const double *prefix,
+               double cutoff) {
+    double bound = 0.0;
+    for (long long s = 0; s < count; s++) {
+        const double *d = rows + slots[s] * (m + 1);
+        double gap_cell = d[m];
+        double above = col[0];
+        double runmin = (above + gap_cell) - prefix[0];
+        col[0] = prefix[0] + runmin;
+        for (long long i = 1; i <= m; i++) {
+            double here = col[i];
+            double cand = nmin(above + d[i - 1], here + gap_cell);
+            runmin = nmin(runmin, cand - prefix[i]);
+            above = here;
+            col[i] = prefix[i] + runmin;
+        }
+        bound = colmin(col, m + 1);
+        if (bound >= cutoff) break;
+    }
+    return bound;
+}
+
+double edr_run(double *col, const unsigned char *match,
+               const long long *slots, long long count, long long m,
+               double cutoff) {
+    double bound = 0.0;
+    for (long long s = 0; s < count; s++) {
+        const unsigned char *hit = match + slots[s] * m;
+        double above = col[0];
+        double runmin = (above + 1.0) - 0.0;
+        col[0] = 0.0 + runmin;
+        for (long long i = 1; i <= m; i++) {
+            double here = col[i];
+            double position = (double)i;
+            double cand = nmin(above + (hit[i - 1] ? 0.0 : 1.0),
+                               here + 1.0);
+            runmin = nmin(runmin, cand - position);
+            above = here;
+            col[i] = position + runmin;
+        }
+        bound = colmin(col, m + 1);
+        if (bound >= cutoff) break;
+    }
+    return bound;
+}
+
+/* `depth_io` counts the cells consumed so far along the path. */
+double lcss_run(double *col, long long *depth_io,
+                const unsigned char *match, const long long *slots,
+                long long count, long long m, long long max_traj_len,
+                double cutoff) {
+    long long depth = *depth_io;
+    double bound = 0.0;
+    for (long long s = 0; s < count; s++) {
+        const unsigned char *hit = match + slots[s] * m;
+        double above = col[0];
+        double run = 0.0;
+        col[0] = run;
+        for (long long i = 1; i <= m; i++) {
+            double here = col[i];
+            run = nmax(run, nmax(here, above + (hit[i - 1] ? 1.0 : 0.0)));
+            above = here;
+            col[i] = run;
+        }
+        depth += 1;
+        long long n_max = max_traj_len > depth ? max_traj_len : depth;
+        double denom = (double)(m < n_max ? m : n_max);
+        double best = col[m] + (double)(n_max - depth);
+        if (denom < best) best = denom;
+        bound = 1.0 - best / denom;
+        if (0.0 > bound) bound = 0.0;
+        if (bound >= cutoff) break;
+    }
+    *depth_io = depth;
+    return bound;
+}
 """
 
 _lib = None
@@ -461,6 +645,8 @@ _I64 = ctypes.c_longlong
 _PD = ctypes.POINTER(ctypes.c_double)
 _PU8 = ctypes.POINTER(ctypes.c_ubyte)
 _PI64 = ctypes.POINTER(_I64)
+_PV = ctypes.c_void_p
+_F64 = ctypes.c_double
 
 _SIGNATURES = {
     "dtw_exact": [_PD, _I64, _I64, _I64, _PI64, ctypes.c_double,
@@ -477,6 +663,18 @@ _SIGNATURES = {
     "frechet_banded": [_PD, _I64, _I64, _I64, _PI64, _I64, _PD],
     "edr_banded": [_PU8, _I64, _I64, _I64, _PI64, _I64, _PD],
     "lcss_banded": [_PU8, _I64, _I64, _I64, _PI64, _I64, _PD],
+}
+
+#: The run-extension kernels return the bound and take raw addresses:
+#: one call per trie run, so the pointer casts of the stack kernels
+#: above would be most of it.
+_RUN_SIGNATURES = {
+    "hausdorff_run": [_PV, _PV, _PV, _PV, _I64, _I64, _F64, _F64],
+    "frechet_run": [_PV, _I64, _PV, _PV, _I64, _I64, _F64, _F64],
+    "dtw_run": [_PV, _I64, _PV, _PV, _I64, _I64, _F64],
+    "erp_run": [_PV, _PV, _PV, _I64, _I64, _PV, _F64],
+    "edr_run": [_PV, _PV, _PV, _I64, _I64, _F64],
+    "lcss_run": [_PV, _PV, _PV, _PV, _I64, _I64, _I64, _F64],
 }
 
 
@@ -513,6 +711,10 @@ def _build() -> ctypes.CDLL | None:
             fn = getattr(lib, name)
             fn.argtypes = argtypes
             fn.restype = None
+        for name, argtypes in _RUN_SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.argtypes = argtypes
+            fn.restype = _F64
         return lib
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
@@ -636,3 +838,97 @@ def edr_banded(match, lengths, r):
 def lcss_banded(match, lengths, r):
     """Banded LCSS distance upper bounds at resolved radius ``r``."""
     return _run_banded("lcss_banded", match, lengths, r, True)
+
+
+# -- run extension (signatures and contract: see .runs) ---------------------
+# Reached only through a KernelSet, which exists once ``available()``
+# has loaded ``_lib``.
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+#: ``_addressof(_view(arr))`` is the address of a writable array's first
+#: byte at a quarter of the cost of ``arr.ctypes.data``.
+_addressof = ctypes.addressof
+_view = ctypes.c_char.from_buffer
+
+
+def _column(column: np.ndarray, size: int) -> np.ndarray:
+    """A fresh buffer holding ``column`` for a kernel to sweep in place
+    (path states are shared between sibling subtrees), refusing anything
+    the C side would misread."""
+    if (column.dtype != _FLOAT64 or column.shape != (size,)
+            or not column.flags.c_contiguous):
+        raise ValueError(
+            f"bound state must be a contiguous float64 ({size},) array, "
+            f"got {column.dtype} {column.shape}")
+    return column.copy()
+
+
+def _first_or_next(column: np.ndarray, m: int):
+    """``(buffer, has_prev)`` for the DPs whose root state is empty."""
+    if column.size == 0:
+        return np.empty(m, dtype=np.float64), 0
+    return _column(column, m), 1
+
+
+def hausdorff_run(r, cmax, rows, slots, slack, cutoff):
+    """:func:`repro.distances.kernels.runs.hausdorff_run` in C."""
+    m = rows.shape[1]
+    r = _column(r, m)
+    cmax = _F64(cmax)
+    bound = _lib.hausdorff_run(
+        _addressof(_view(r)), _addressof(cmax), _addressof(_view(rows)),
+        _addressof(_view(slots)), slots.size, m, slack, cutoff)
+    return r, cmax.value, bound
+
+
+def frechet_run(column, rows, slots, slack, cutoff):
+    """:func:`repro.distances.kernels.runs.frechet_run` in C."""
+    m = rows.shape[1]
+    column, has_prev = _first_or_next(column, m)
+    bound = _lib.frechet_run(
+        _addressof(_view(column)), has_prev, _addressof(_view(rows)), _addressof(_view(slots)),
+        slots.size, m, slack, cutoff)
+    return column, bound
+
+
+def dtw_run(column, rows, slots, cutoff):
+    """:func:`repro.distances.kernels.runs.dtw_run` in C."""
+    m = rows.shape[1]
+    column, has_prev = _first_or_next(column, m)
+    bound = _lib.dtw_run(
+        _addressof(_view(column)), has_prev, _addressof(_view(rows)), _addressof(_view(slots)),
+        slots.size, m, cutoff)
+    return column, bound
+
+
+def erp_run(column, rows, slots, prefix, cutoff):
+    """:func:`repro.distances.kernels.runs.erp_run` in C."""
+    m = rows.shape[1] - 1
+    column = _column(column, m + 1)
+    bound = _lib.erp_run(
+        _addressof(_view(column)), _addressof(_view(rows)), _addressof(_view(slots)),
+        slots.size, m, _addressof(_view(prefix)), cutoff)
+    return column, bound
+
+
+def edr_run(column, match, slots, cutoff):
+    """:func:`repro.distances.kernels.runs.edr_run` in C."""
+    m = match.shape[1]
+    column = _column(column, m + 1)
+    bound = _lib.edr_run(
+        _addressof(_view(column)), _addressof(_view(match)), _addressof(_view(slots)),
+        slots.size, m, cutoff)
+    return column, bound
+
+
+def lcss_run(column, depth, match, slots, max_traj_len, cutoff):
+    """:func:`repro.distances.kernels.runs.lcss_run` in C."""
+    m = match.shape[1]
+    column = _column(column, m + 1)
+    depth = _I64(depth)
+    bound = _lib.lcss_run(
+        _addressof(_view(column)), _addressof(depth), _addressof(_view(match)),
+        _addressof(_view(slots)), slots.size, m, max_traj_len, cutoff)
+    return column, depth.value, bound

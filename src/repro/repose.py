@@ -438,7 +438,8 @@ class RPTrieLocalIndex:
             self._trie, query, dqp=dqp,
             use_pivots=options.get("use_pivots", True),
             use_lbt=options.get("use_lbt", True),
-            use_lbo=options.get("use_lbo", True))
+            use_lbo=options.get("use_lbo", True),
+            kernels=options.get("kernels"))
 
     def range_query(self, query: Trajectory, radius: float,
                     dqp: np.ndarray | None = None) -> TopKResult:

@@ -108,3 +108,53 @@ def small_dataset(small_trajectories) -> TrajectoryDataset:
 @pytest.fixture
 def small_grid() -> Grid:
     return Grid.fit(BoundingBox(0.0, 0.0, 8.0, 8.0), delta=0.5)
+
+
+def cell_path(cells, traj_id: int, seed: int) -> Trajectory:
+    """A trajectory with one point in each of the ``(col, row)`` cells of
+    a unit grid at the origin, off-centre so that distances do not tie."""
+    jitter = np.random.default_rng(seed).uniform(-0.3, 0.3, (len(cells), 2))
+    return Trajectory(np.asarray(cells, dtype=np.float64) + 0.5 + jitter,
+                      traj_id=traj_id)
+
+
+#: Cell paths (on :func:`paper_grid`) whose trie has the shapes a
+#: run-following traversal must get right; see ``run_shapes``.
+_TAIL = [(c, 0) for c in range(8)] + [(c, 1) for c in range(7, 3, -1)]
+_RUN_SHAPED = [
+    _TAIL,                                             # 12-cell unary tail
+    [(0, 7), (1, 7), (2, 7)],                          # ends inside ...
+    [(0, 7), (1, 7), (2, 7), (3, 7), (4, 7)],          # ... this chain
+    [(0, 7), (1, 7), (2, 7), (3, 7), (4, 7), (5, 7), (6, 6)],
+    [(3, 3), (4, 3), (5, 3), (5, 4)],                  # fork at (5, 3)
+    [(3, 3), (4, 3), (5, 3), (5, 2), (6, 2)],
+    [(7, 7)],                                          # one-cell path
+    [(2, 5), (2, 4), (3, 4), (3, 5), (2, 5), (2, 4)],  # revisits cells
+]
+_RUN_SPLITTING = [
+    [(0, 7), (1, 7), (1, 6), (1, 5)],      # splits (0,7)-(1,7)-(2,7)
+    _TAIL[:3] + [(2, 1)],                  # splits the long tail
+    _TAIL[:9],                             # ends inside the long tail
+]
+
+
+@pytest.fixture
+def run_shapes():
+    """Trajectories on :func:`paper_grid` whose trie has the shapes a
+    run-following traversal must get right.
+
+    ``build``: long unary tails, a node with one internal child *and* a
+    ``$`` child, a fork; ``inserts``: paths that, inserted later, split
+    or end inside existing runs; ``cells``: the cell paths ``build`` was
+    made from; ``path(cells, traj_id)``: a trajectory along a cell path
+    (:func:`cell_path` seeded by its id), for external queries.
+    """
+    from types import SimpleNamespace
+
+    def path(cells, traj_id):
+        return cell_path(cells, traj_id, seed=traj_id)
+    return SimpleNamespace(
+        build=[path(cells, tid) for tid, cells in enumerate(_RUN_SHAPED)],
+        inserts=[path(cells, 100 + i)
+                 for i, cells in enumerate(_RUN_SPLITTING)],
+        cells=_RUN_SHAPED, path=path)

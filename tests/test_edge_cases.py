@@ -143,3 +143,50 @@ class TestQueryEqualsDataExtremes:
         result = local_search(trie, a, 2)
         assert sorted(result.ids()) == [0, 1]
         assert result.distances() == [0.0, 0.0]
+
+
+SIX_MEASURES = [("hausdorff", {}), ("frechet", {}), ("dtw", {}), ("erp", {}),
+                ("edr", {"eps": 0.4}), ("lcss", {"eps": 0.4})]
+
+
+@pytest.mark.parametrize("name,params", SIX_MEASURES)
+class TestDegenerateInputsThroughRuns:
+    """Degenerate inputs through the run-following traversal, mutable
+    and frozen: an empty first level, all-identical trajectories (one
+    run, one leaf), a length-1 query, and k >= N."""
+
+    def test_empty_first_level(self, small_grid, name, params):
+        from repro.core.search import probe_search
+        measure = get_measure(name, **params)
+        query = Trajectory([(1.0, 1.0), (1.5, 2.0)], traj_id=0)
+        trie = RPTrie(small_grid, measure).build([])
+        for index in (trie, SuccinctRPTrie(trie)):
+            assert local_search(index, query, 3).items == []
+            assert local_range_search(index, query, 5.0).items == []
+            probe = probe_search(index, query)
+            assert probe.bound == float("inf")
+            assert probe.child_bounds == ()
+
+    def test_identical_trajectories(self, small_grid, name, params):
+        measure = get_measure(name, **params)
+        points = [(1.2, 1.1), (1.9, 1.4), (2.6, 2.2), (2.7, 3.1)]
+        copies = [Trajectory(points, traj_id=i) for i in range(6)]
+        trie = RPTrie(small_grid, measure).build(copies)
+        assert trie.stats().leaf_count == 1
+        for index in (trie, SuccinctRPTrie(trie)):
+            for k in (1, 4, 6, 50):  # k >= N included
+                result = local_search(index, copies[2], k)
+                assert result.distances() == [0.0] * min(k, 6)
+                assert len(set(result.ids())) == len(result.ids())
+            assert len(local_range_search(index, copies[0], 0.0)) == 6
+
+    def test_length_one_query(self, small_grid, small_trajectories, name,
+                              params):
+        measure = get_measure(name, **params)
+        query = Trajectory([(4.0, 4.0)], traj_id=999)
+        trie = RPTrie(small_grid, measure).build(small_trajectories)
+        scan = sorted(measure.distance(query, t) for t in small_trajectories)
+        for index in (trie, SuccinctRPTrie(trie)):
+            for k in (1, 7, len(small_trajectories) + 5):
+                result = local_search(index, query, k)
+                assert result.distances() == scan[:k]

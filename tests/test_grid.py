@@ -76,6 +76,27 @@ class TestPointMapping:
             grid.reference_point(1 << 40)
 
 
+class TestVectorizedGeometry:
+    def test_matches_scalar_geometry_bit_for_bit(self):
+        grid = Grid(0.37, -1.2, 0.013, 64)
+        zs = np.random.default_rng(3).integers(0, grid.num_cells, 200)
+        centres = grid.reference_points(zs)
+        corners = grid.cell_origins(zs)
+        for z, centre, corner in zip(zs.tolist(), centres, corners):
+            assert tuple(centre) == grid.reference_point(z)
+            box = grid.cell_bounds(z)
+            assert tuple(corner) == (box.min_x, box.min_y)
+
+    def test_rejects_out_of_grid(self):
+        grid = Grid(0, 0, 1.0, 8)
+        for zs in ([3, 64], [-1], [1 << 40]):
+            with pytest.raises(GridError):
+                grid.reference_points(zs)
+            with pytest.raises(GridError):
+                grid.cell_origins(zs)
+        assert grid.cell_origins([]).shape == (0, 2)
+
+
 class TestCellGeometry:
     def test_cell_bounds(self):
         grid = Grid(0, 0, 1.0, 8)

@@ -6,6 +6,8 @@ association order* as the numpy sweeps, so exact values are
 bit-identical — ``TOLERANCES`` is 0.0 for every measure and these
 tests assert it literally, on stacks that include ties, length-1
 candidates, duplicate trajectories and non-contiguous tensors.  The
+run-extension family (the bound computers' column sweeps along a trie
+run, Hausdorff included) is held to the same contract.  The
 early-abandon contract under a finite ``dk`` is weaker by design
 (backends may check at different cadences, so the exact masks may
 diverge) and is asserted as: every value still marked exact is
@@ -266,3 +268,146 @@ def test_batchrefiner_exposes_selected_backend(backend):
                            [t.traj_id for t in trajs], kernels=backend)
     assert refiner.kernels.name == backend
     assert refiner.kernels.compiled
+
+
+# -- run extension -------------------------------------------------------------
+
+RUN_FAMILIES = ("hausdorff", "frechet", "dtw", "erp", "edr", "lcss")
+RUN_SLACK = 0.3
+#: LCSS subtree maximum length; as in a real trie, no path is deeper.
+RUN_MAX_LEN = 25
+
+
+def _run_case(family: str, seed: int, m: int = 13, cells: int = 40):
+    """A random cell-row table, the root state and a sweep function
+    ``(kernels, state, slots, cutoff) -> (state tuple, bound)`` with one
+    family's extra arguments bound."""
+    rng = np.random.default_rng(seed)
+    if family in ("edr", "lcss"):
+        rows = rng.random((cells, m)) < 0.15
+    else:
+        rows = rng.random((cells, m + (family == "erp"))) * 4.0
+        rows[rng.random(rows.shape) < 0.2] = 0.0  # points inside the cell
+    if family == "hausdorff":
+        state = (np.full(m, np.inf), 0.0)
+    elif family in ("frechet", "dtw"):
+        state = (np.empty(0),)
+    elif family == "erp":
+        prefix = np.concatenate(([0.0], np.cumsum(rng.random(m) * 4.0)))
+        state = (prefix.copy(),)
+    elif family == "edr":
+        state = (np.arange(m + 1, dtype=np.float64),)
+    else:
+        state = (np.zeros(m + 1), 0)
+
+    def sweep(kernels, state, slots, cutoff=np.inf):
+        slots = np.asarray(slots, dtype=np.int64)
+        fn = getattr(kernels, f"{family}_run")
+        if family in ("hausdorff", "frechet"):
+            out = fn(*state, rows, slots, RUN_SLACK, cutoff)
+        elif family == "erp":
+            out = fn(*state, rows, slots, prefix, cutoff)
+        elif family == "lcss":
+            out = fn(*state, rows, slots, RUN_MAX_LEN, cutoff)
+        else:
+            out = fn(*state, rows, slots, cutoff)
+        return tuple(out[:-1]), out[-1]
+
+    return rng, state, sweep
+
+
+def _same_state(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and all(
+        x.tobytes() == y.tobytes() if isinstance(x, np.ndarray)
+        else type(x) is type(y) and x == y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("family", RUN_FAMILIES)
+def test_run_equals_its_cells_one_by_one(family, backend):
+    """Sweeping a run is sweeping its cells in turn: same state, same
+    bound, bit for bit (runs of length 1, 2 and 21, from the root and
+    from mid-path)."""
+    assert TOLERANCES[family] == 0.0
+    kernels = get_kernels(backend)
+    rng, root, sweep = _run_case(family, seed=21)
+    mid, _ = sweep(kernels, root, rng.integers(0, 40, 4))
+    for length in (1, 2, 21):
+        slots = rng.integers(0, 40, length)
+        for origin in (root, mid):
+            state, bounds = origin, []
+            for slot in slots:
+                state, bound = sweep(kernels, state, [slot])
+                bounds.append(bound)
+            run_state, run_bound = sweep(kernels, origin, slots)
+            assert _same_state(run_state, state)
+            assert run_bound == bounds[-1]
+            assert bounds == sorted(bounds), "bounds fell along a run"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("family", RUN_FAMILIES)
+def test_run_cutoff_stops_at_first_crossing(family, backend):
+    """A finite cutoff stops the sweep after the first cell whose bound
+    reaches it: that cell's bound and state come back, later cells are
+    never consumed, and a cutoff nothing reaches changes nothing."""
+    kernels = get_kernels(backend)
+    stops = 0
+    for seed in (31, 32, 33):
+        rng, root, sweep = _run_case(family, seed=seed)
+        slots = rng.integers(0, 40, 21)
+        prefixes = [sweep(kernels, root, slots[:stop])
+                    for stop in range(1, len(slots) + 1)]
+        bounds = [bound for _, bound in prefixes]
+        positive = [b for b in bounds if b > 0.0]
+        if not positive:
+            continue
+        cutoff = positive[(len(positive) - 1) // 2]
+        first = next(i for i, b in enumerate(bounds) if b >= cutoff)
+        state, bound = sweep(kernels, root, slots, cutoff)
+        assert bound == bounds[first] >= cutoff
+        assert _same_state(state, prefixes[first][0])
+        stops += first < len(slots) - 1
+        state, bound = sweep(kernels, root, slots,
+                             np.nextafter(bounds[-1], np.inf))
+        assert bound == bounds[-1]
+        assert _same_state(state, prefixes[-1][0])
+    assert stops > 0
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+@pytest.mark.parametrize("family", RUN_FAMILIES)
+def test_run_bit_identity(family, backend):
+    """Compiled run sweeps return the numpy reference's bits — state and
+    bound, along whole runs and at cutoff stops."""
+    reference, compiled = get_kernels("numpy"), get_kernels(backend)
+    for seed in (41, 42, 43):
+        rng, root, sweep = _run_case(family, seed=seed,
+                                     m=int(1 + seed % 3 * 9))
+        want_state = got_state = root
+        for _ in range(8):
+            slots = rng.integers(0, 40, rng.integers(1, 12))
+            want_state, want = sweep(reference, want_state, slots)
+            got_state, got = sweep(compiled, got_state, slots)
+            assert got == want
+            assert _same_state(got_state, want_state)
+            cut_state, cut = sweep(reference, root, slots, want / 2)
+            got_cut_state, got_cut = sweep(compiled, root, slots, want / 2)
+            assert got_cut == cut
+            assert _same_state(got_cut_state, cut_state)
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+def test_run_kernels_refuse_foreign_states(backend):
+    """The compiled sweeps read raw memory: a state of the wrong dtype,
+    size or layout is refused, and the caller's state is never written."""
+    kernels = get_kernels(backend)
+    rng, root, sweep = _run_case("dtw", seed=51)
+    column, _ = sweep(kernels, root, [1, 2])
+    before = column[0].copy()
+    sweep(kernels, column, [3, 4, 5])
+    assert np.array_equal(column[0], before)
+    for bad in (before.astype(np.float32), before[:-1],
+                np.concatenate((before, before))[::2]):
+        with pytest.raises(ValueError):
+            sweep(kernels, (bad,), [3])

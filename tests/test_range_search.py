@@ -126,3 +126,43 @@ class TestIncrementalInsert:
         assert trie.node_count >= before
         stored = [tid for leaf in trie.iter_leaves() for tid in leaf.tids]
         assert 500 in stored
+
+
+ALL_MEASURES = dict(MEASURES, lcss=get_measure("lcss", eps=0.4),
+                    edr=get_measure("edr", eps=0.4))
+
+
+@pytest.mark.parametrize("name", list(ALL_MEASURES))
+class TestRunShapedRangeSearch:
+    """Range search over tries made of runs (unary tails, a `$` child
+    beside an internal one, forks, runs split by inserts) equals a
+    linear scan with per-pair distances, mutable and frozen."""
+
+    def _check(self, trie, measure, trajectories, query):
+        from repro.core.succinct import SuccinctRPTrie
+        scan = sorted((measure.distance(query, t), t.traj_id)
+                      for t in trajectories)
+        # Radii a relative 1e-9 above true distances (see the seeds in
+        # test_search.py), one below everything and one above.
+        radii = [scan[i][0] * (1 + 1e-9) for i in (0, 2, len(scan) - 1)]
+        for radius in [0.0, *radii, 1e9]:
+            want = [item for item in scan if item[0] <= radius]
+            for index in (trie, SuccinctRPTrie(trie)):
+                for use_pivots in (True, False):
+                    got = local_range_search(index, query, radius,
+                                             use_pivots=use_pivots)
+                    assert got.items == want
+
+    def test_equals_linear_scan(self, paper_grid, run_shapes, name):
+        measure = ALL_MEASURES[name]
+        build, inserts = run_shapes.build, run_shapes.inserts
+        queries = [run_shapes.path(run_shapes.cells[0], 900),
+                   run_shapes.path(run_shapes.cells[3], 901),
+                   run_shapes.path([(5, 5)], 902)]
+        trie = RPTrie(paper_grid, measure, num_pivots=2).build(build)
+        for query in queries:
+            self._check(trie, measure, build, query)
+        for traj in inserts:
+            trie.insert(traj)
+        for query in queries:
+            self._check(trie, measure, build + inserts, query)

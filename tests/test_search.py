@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core.rptrie import RPTrie
-from repro.core.search import TopKResult, local_search
+from repro.core.search import (
+    TopKResult,
+    _follow_run,
+    local_search,
+    probe_search,
+)
 from repro.core.succinct import SuccinctRPTrie
 from repro.distances import get_measure
 from repro.types import Trajectory
@@ -153,3 +158,169 @@ class TestResultContainer:
         result = local_search(trie, small_trajectories[0], 5)
         assert result.stats.nodes_visited > 0
         assert result.stats.distance_computations > 0
+
+
+def _child(node, col, row):
+    """The child of ``node`` labelled with cell ``(col, row)``."""
+    from repro.core.zorder import z_encode
+    label = z_encode(col, row)
+    return next(c for c in node.iter_children() if c.z_value == label)
+
+
+class TestRunDiscovery:
+    """Runs are rediscovered from the node interface on every walk."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_run_ends(self, paper_grid, run_shapes, frozen):
+        from repro.core.zorder import z_encode
+        trie = RPTrie(paper_grid, "dtw").build(run_shapes.build)
+        if frozen:
+            trie = SuccinctRPTrie(trie)
+        # A 12-cell unary tail is one run ending at its `$` parent.
+        last, cells = _follow_run(_child(trie.root, 0, 0))
+        assert len(cells) == 12 and cells[-1] == z_encode(4, 1)
+        assert [c.is_leaf for c in last.iter_children()] == [True]
+        # A node with one internal child *and* a `$` child ends the run.
+        last, cells = _follow_run(_child(trie.root, 0, 7))
+        assert cells == [z_encode(0, 7), z_encode(1, 7), z_encode(2, 7)]
+        assert sorted(c.is_leaf for c in last.iter_children()) == \
+            [False, True]
+        # A fork ends the run at the forking node.
+        last, cells = _follow_run(_child(trie.root, 3, 3))
+        assert cells[-1] == z_encode(5, 3)
+        assert len(list(last.iter_children())) == 2
+
+    def test_insert_splits_a_run(self, paper_grid, run_shapes):
+        trie = RPTrie(paper_grid, "dtw").build(run_shapes.build)
+        for traj in run_shapes.inserts:
+            trie.insert(traj)
+        for first, length in (((0, 7), 2), ((0, 0), 3)):
+            last, cells = _follow_run(_child(trie.root, *first))
+            assert len(cells) == length
+            assert len(list(last.iter_children())) == 2
+        # Below the split the old tail is two runs now: up to the node
+        # where an inserted path ends, then the rest.
+        from repro.core.zorder import z_encode
+        split = _follow_run(_child(trie.root, 0, 0))[0]
+        last, cells = _follow_run(_child(split, 3, 0))
+        assert cells[-1] == z_encode(7, 1) and len(cells) == 6
+        last, cells = _follow_run(_child(last, 6, 1))
+        assert len(cells) == 3
+
+
+@pytest.mark.parametrize("name", list(MEASURES))
+class TestRunTraversal:
+    """Top-k over tries made of runs equals a linear scan with per-pair
+    distances — mutable and frozen, seeded and unseeded, pivots on and
+    off, before and after inserts split the runs."""
+
+    @staticmethod
+    def _queries(shapes):
+        """External queries (a query that *is* a pivot makes the pivot
+        bound an exact distance evaluated in the other argument order,
+        which may sit one ulp above the refined one): along the long
+        tail, along the forking chain, across both, and a single point."""
+        return [shapes.path(shapes.cells[0], 900),
+                shapes.path(shapes.cells[2], 901),
+                shapes.path([(1, 6), (2, 6), (3, 6), (4, 6)], 902),
+                shapes.path([(6, 1)], 903)]
+
+    @staticmethod
+    def _assert_same(items, want, scan):
+        """Bit-equal to the scan's top-k — except for *which* of several
+        candidates tied at the last kept distance were kept (the edit
+        distances tie often; the heap keeps the first it meets)."""
+        assert [d for d, _ in items] == [d for d, _ in want]
+        if not want:
+            return
+        last = want[-1][0]
+        assert ([item for item in items if item[0] != last]
+                == [item for item in want if item[0] != last])
+        tied = {tid for d, tid in scan if d == last}
+        kept = [tid for d, tid in items if d == last]
+        assert set(kept) <= tied and len(set(kept)) == len(kept)
+
+    def _check(self, trie, measure, trajectories, query, k):
+        scan = sorted((measure.distance(query, t), t.traj_id)
+                      for t in trajectories)
+        want = scan[:k]
+        # Seeds sit a relative 1e-9 above a true distance: a seed *equal*
+        # to one is at the mercy of bounds that sum the same terms in
+        # another order (DTW row minima, a pivot bound on the query).
+        kth = want[-1][0] * (1 + 1e-9)
+        low = want[len(want) // 2][0] * (1 + 1e-9)
+        for use_pivots in (True, False):
+            self._assert_same(
+                local_search(trie, query, k, use_pivots=use_pivots).items,
+                want, scan)
+            for dk in (kth, 2 * kth + 1):
+                self._assert_same(
+                    local_search(trie, query, k, dk=dk,
+                                 use_pivots=use_pivots).items, want, scan)
+            # A seed below the k-th distance only suppresses what lies
+            # beyond it.
+            self._assert_same(
+                local_search(trie, query, k, dk=low,
+                             use_pivots=use_pivots).items,
+                [item for item in want if item[0] <= low], scan)
+        probe = probe_search(trie, query)
+        assert probe.bound <= scan[0][0] + 1e-9
+
+    def test_equals_linear_scan(self, paper_grid, run_shapes, name):
+        measure = MEASURES[name]
+        build, inserts = run_shapes.build, run_shapes.inserts
+        trie = RPTrie(paper_grid, measure, num_pivots=2).build(build)
+        for query in self._queries(run_shapes):
+            for k in (1, 3, len(build)):
+                self._check(trie, measure, build, query, k)
+                self._check(SuccinctRPTrie(trie), measure, build, query, k)
+        for traj in inserts:
+            trie.insert(traj)
+        everything = build + inserts
+        for query in self._queries(run_shapes):
+            for k in (2, 5):
+                self._check(trie, measure, everything, query, k)
+                self._check(SuccinctRPTrie(trie), measure, everything,
+                            query, k)
+
+
+class TestCellGeometryOncePerCell:
+    def test_no_per_extend_geometry(self, small_grid, small_trajectories,
+                                    monkeypatch):
+        """One search asks the grid for a cell's geometry at most once,
+        however often the traversal crosses the cell — it used to be
+        once per bound extension.  The recorder binds the way the
+        bench_e2e tracer does: ``make_bound_computer`` by name with three
+        positionals, ``extend`` by instance assignment."""
+        from repro.core import search
+        from repro.core.grid import Grid
+
+        geometry_calls, crossed = [], []
+        for method in ("cell_bounds", "reference_point"):
+            original = getattr(Grid, method)
+
+            def counted(self, z, _original=original):
+                geometry_calls.append(z)
+                return _original(self, z)
+            monkeypatch.setattr(Grid, method, counted)
+        make = search.make_bound_computer
+
+        def recording(measure, grid, query_points):
+            computer = make(measure, grid, query_points)
+            extend = computer.extend
+
+            def recorded(state, z, *rest):
+                crossed.extend(z if hasattr(z, "__len__") else [z])
+                return extend(state, z, *rest)
+            computer.extend = recorded
+            return computer
+        monkeypatch.setattr(search, "make_bound_computer", recording)
+
+        for name in ("dtw", "hausdorff", "edr", "erp"):
+            trie = RPTrie(small_grid, MEASURES[name]).build(
+                small_trajectories)
+            del geometry_calls[:], crossed[:]  # the build may ask freely
+            result = local_search(trie, small_trajectories[4], 5)
+            assert result.stats.nodes_visited > 10
+            assert len(crossed) > len(set(crossed)) > 0
+            assert len(geometry_calls) <= len(set(crossed))

@@ -7,6 +7,7 @@ from repro.core.zorder import (
     deinterleave,
     interleave,
     z_decode,
+    z_decode_cells,
     z_encode,
     z_encode_array,
 )
@@ -57,3 +58,15 @@ class TestVectorized:
         xs, ys = np.meshgrid(np.arange(32), np.arange(32))
         zs = z_encode_array(xs.ravel(), ys.ravel())
         assert len(np.unique(zs)) == 32 * 32
+
+    @pytest.mark.parametrize("bits", [1, 4, 8, 9, 16, 32])
+    def test_decode_cells_matches_scalar(self, bits):
+        """One byte-table gather per z-value byte, at every width."""
+        rng = np.random.default_rng(bits)
+        xs = rng.integers(0, 2**bits, 64, dtype=np.uint64)
+        ys = rng.integers(0, 2**bits, 64, dtype=np.uint64)
+        zs = z_encode_array(xs, ys)
+        cells = z_decode_cells(zs)
+        assert cells.shape == (64, 2) and cells.dtype == np.int64
+        assert cells.tolist() == [list(z_decode(int(z))) for z in zs]
+        assert z_decode_cells(np.array([], dtype=np.int64)).shape == (0, 2)

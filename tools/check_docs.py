@@ -5,9 +5,10 @@ Dependency-free stand-in for ``interrogate``/``pydocstyle`` (the CI
 image only ships numpy + pytest), enforcing two things:
 
 1. **Docstring coverage** on the hot modules this repo documents as
-   API surface (``repro.distances.batch``, ``repro.core.store``,
-   ``repro.cluster.engine``): the module itself and every public
-   class, function and method must carry a docstring.  Coverage below
+   API surface (``repro.distances.batch``, the kernel tier,
+   ``repro.core.store``, ``repro.core.bounds``, ``repro.core.search``,
+   ``repro.cluster.*``): the module itself and every public class,
+   function and method must carry a docstring.  Coverage below
    ``THRESHOLD`` fails the build.
 2. **Markdown links**: every relative link target in ``README.md`` and
    ``docs/*.md`` must exist in the repository.
@@ -31,7 +32,9 @@ DOC_MODULES = [
     "src/repro/distances/batch.py",
     "src/repro/distances/kernels/__init__.py",
     "src/repro/distances/kernels/cnative.py",
+    "src/repro/distances/kernels/runs.py",
     "src/repro/core/store.py",
+    "src/repro/core/bounds.py",
     "src/repro/core/search.py",
     "src/repro/cluster/engine.py",
     "src/repro/cluster/planner.py",
