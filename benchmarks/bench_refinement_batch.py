@@ -2,7 +2,7 @@
 
 Measures the batch refinement engine (this repo's vectorized candidate
 screening plus batched banded/exact DPs, :mod:`repro.distances.batch`)
-against the seed per-trajectory early-abandoning loop, in three
+against the seed per-trajectory early-abandoning loop, in two
 settings:
 
 * **engine throughput** (candidates/second): refine one candidate batch
@@ -11,16 +11,17 @@ settings:
 * **exact-refinement throughput**: the same batches with ``k`` equal to
   the candidate count, so no threshold ever prunes and every candidate
   pays its exact distance — this isolates the batched exact DP kernels
-  (banded/batched DTW and Frechet sweeps) from the lower-bound screen;
-* **end-to-end query time**: ``local_search`` over a full RP-Trie with
-  ``batch_refine`` on vs off.
+  (banded/batched DTW and Frechet sweeps) from the lower-bound screen.
 
-All paths are exact and bit-identical (asserted here and property
-tested in ``tests/test_batch_refinement.py`` and
-``tests/test_banded_dp.py``), so this benchmark is a pure
-like-for-like performance comparison.  Results are printed as a table
-and persisted to ``benchmarks/results/BENCH_refinement.json`` so
-future PRs have a perf trajectory to compare against.
+End-to-end query time is ``benchmarks/e2e``'s business (searches have
+had one refinement path since the candidate pool; there is no
+per-trajectory search to compare with).  Both paths here are exact and
+bit-identical (asserted here and property tested in
+``tests/test_batch_refinement.py`` and ``tests/test_banded_dp.py``), so
+this benchmark is a pure like-for-like performance comparison.
+Results are printed as a table and persisted to
+``benchmarks/results/BENCH_refinement.json`` so future PRs have a perf
+trajectory to compare against.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ import time
 
 from repro.bench import BenchConfig, format_table, make_workload, write_report
 from repro.bench.config import RESULTS_DIR
-from repro.core.grid import Grid
-from repro.core.rptrie import RPTrie
-from repro.core.search import ResultHeap, local_search
+from repro.core.search import ResultHeap
 from repro.core.store import TrajectoryStore
 from repro.distances.base import get_measure
 from repro.distances.batch import refine_top_k
@@ -57,49 +56,8 @@ def _timed(fn, repeats: int = REPEATS) -> float:
     return best
 
 
-def _timed_with_refine(fn, repeats: int = REPEATS) -> tuple[float, float]:
-    """Best total wall time plus the leaf-refinement share of that run.
-
-    Wraps the two refinement entry points ``local_search`` dispatches
-    to (:func:`refine_top_k` for the batch path,
-    :func:`distance_with_threshold` for the per-trajectory loop) with a
-    timing accumulator for the duration of each run, so the shared
-    traversal/planner overhead can be reported separately.
-    """
-    import repro.core.search as search_mod
-
-    acc = [0.0]
-
-    def traced(inner):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                acc[0] += time.perf_counter() - start
-        return wrapper
-
-    originals = (search_mod.refine_top_k,
-                 search_mod.distance_with_threshold)
-    best = (float("inf"), 0.0)
-    search_mod.refine_top_k = traced(originals[0])
-    search_mod.distance_with_threshold = traced(originals[1])
-    try:
-        for _ in range(repeats):
-            acc[0] = 0.0
-            start = time.perf_counter()
-            fn()
-            total = time.perf_counter() - start
-            if total < best[0]:
-                best = (total, acc[0])
-    finally:
-        search_mod.refine_top_k = originals[0]
-        search_mod.distance_with_threshold = originals[1]
-    return best
-
-
 def _refinement_cell(measure_name: str, workload) -> dict:
-    """Candidates/sec of old vs new refinement plus end-to-end QT."""
+    """Candidates/sec of old vs new refinement."""
     measure = get_measure(measure_name)
     trajectories = workload.dataset.trajectories
     store = TrajectoryStore(trajectories)
@@ -157,20 +115,6 @@ def _refinement_cell(measure_name: str, workload) -> dict:
     exact_new_seconds = _timed(run_exact_batched)
     exact_old_seconds = _timed(run_exact_sequential)
 
-    # End-to-end: the same trie queried with both refinement paths.
-    # Total query time mixes refinement with work the two paths share
-    # (trie traversal, node bounds, heap upkeep); at smoke scale that
-    # shared overhead dominates and total QT ratios hover near 1x even
-    # when refinement itself is much faster.  Trace the leaf-refinement
-    # calls so the report separates the two instead of burying the
-    # refinement win (or loss) in planner overhead.
-    grid = Grid.fit(workload.dataset.bounding_box(), workload.delta)
-    trie = RPTrie(grid, measure).build(trajectories)
-    qt_new, qt_new_refine = _timed_with_refine(
-        lambda: local_search(trie, query, CFG.k))
-    qt_old, qt_old_refine = _timed_with_refine(
-        lambda: local_search(trie, query, CFG.k, batch_refine=False))
-
     return {
         "candidates": count,
         "old_candidates_per_sec": count / old_seconds,
@@ -179,15 +123,6 @@ def _refinement_cell(measure_name: str, workload) -> dict:
         "exact_old_candidates_per_sec": count / exact_old_seconds,
         "exact_new_candidates_per_sec": count / exact_new_seconds,
         "exact_speedup": exact_old_seconds / exact_new_seconds,
-        "qt_old_seconds": qt_old,
-        "qt_new_seconds": qt_new,
-        "qt_speedup": qt_old / qt_new,
-        "qt_old_refine_seconds": qt_old_refine,
-        "qt_new_refine_seconds": qt_new_refine,
-        "qt_old_overhead_seconds": max(qt_old - qt_old_refine, 0.0),
-        "qt_new_overhead_seconds": max(qt_new - qt_new_refine, 0.0),
-        "qt_refine_speedup": (qt_old_refine / qt_new_refine
-                              if qt_new_refine > 0 else float("inf")),
     }
 
 
@@ -206,17 +141,13 @@ def test_report_refinement():
                      f"{cell['refine_speedup']:.2f}x",
                      f"{cell['exact_old_candidates_per_sec']:.0f}",
                      f"{cell['exact_new_candidates_per_sec']:.0f}",
-                     f"{cell['exact_speedup']:.2f}x",
-                     f"{cell['qt_speedup']:.2f}x",
-                     f"{cell['qt_refine_speedup']:.2f}x",
-                     f"{cell['qt_new_overhead_seconds'] * 1e3:.1f}ms"])
+                     f"{cell['exact_speedup']:.2f}x"])
     table = format_table(
         "Batch refinement engine vs per-trajectory loop "
         f"(k={CFG.k}, batch={BATCH_SIZE})",
         ["Measure", "Candidates", "Old cand/s", "New cand/s",
          "Refine speedup", "Exact old c/s", "Exact new c/s",
-         "Exact speedup", "QT speedup", "QT refine speedup",
-         "QT overhead"], rows)
+         "Exact speedup"], rows)
     write_report("refinement_batch", table)
 
     payload = {

@@ -13,9 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..distances.base import Measure
+from ..distances.batch import exact_distances
 from ..types import Trajectory
+from .store import TrajectoryStore
 
-__all__ = ["select_pivots", "downsample_trajectory"]
+__all__ = ["select_pivots", "downsample_trajectory", "pivot_store",
+           "query_pivot_distances"]
 
 #: Default cap on pivot trajectory length.  Pivot pruning only needs
 #: *some* fixed reference objects — HR ranges and query-pivot distances
@@ -98,3 +101,25 @@ def _pairwise_distance_sum(group: list[Trajectory], measure: Measure) -> float:
         for j in range(i + 1, len(group)):
             total += measure.distance(group[i], group[j])
     return total
+
+
+def pivot_store(owner) -> TrajectoryStore:
+    """``owner.pivots`` as a columnar store, rows addressed by pivot
+    position; built on first use, kept on ``owner`` (a trie, or the
+    engine whose driver shares ``dqp`` with every partition) and
+    rebuilt if its ``pivots`` list is replaced."""
+    pivots = owner.pivots
+    cached = getattr(owner, "_pivot_store", None)
+    if cached is None or cached[0] is not pivots:
+        cached = (pivots, TrajectoryStore(
+            Trajectory(p.points, traj_id=i) for i, p in enumerate(pivots)))
+        owner._pivot_store = cached
+    return cached[1]
+
+
+def query_pivot_distances(owner, measure: Measure, query: Trajectory,
+                          kernels: str | None = None) -> np.ndarray:
+    """``[measure.distance(query, p) for p in owner.pivots]``, bit for
+    bit, as one batched kernel call (``dqp`` of the pivot bound)."""
+    return exact_distances(measure, query.points, pivot_store(owner),
+                           list(range(len(owner.pivots))), kernels=kernels)

@@ -23,16 +23,40 @@ early at ``dk`` has already proved the subtree out.  Nothing about runs
 is stored: they are rediscovered while walking, so inserts and the
 frozen succinct trie need no bookkeeping.
 
-Leaf refinement runs through the vectorized batch engine: a leaf's
-candidates are gathered from the trie's columnar
-:class:`~repro.core.store.TrajectoryStore` into one padded tensor,
-batch lower bounds are computed in a single broadcast
-(:mod:`repro.distances.batch`), Sakoe-Chiba-banded DPs cap the
-DTW/Frechet threshold from above, and the surviving candidates' exact
-distances come from staged *batched* DPs that replicate the
-sequential per-pair DP's float operations.  ``batch_refine=False``
-selects the per-trajectory early-abandoning loop instead; results are
-bit-identical, which the exactness property tests rely on.
+**Leaves are pooled, not refined one by one.**  The tries built here
+hold one trajectory per ``$`` leaf, so refining a leaf when it is
+popped (as Algorithm 2 is written) asks for distances pair by pair.
+Instead a popped leaf's trajectory ids go, in pop order, into a
+per-search *pool* that is flushed (:func:`_flush`) through one
+:func:`~repro.distances.batch.refine_top_k` call — one gathered tensor,
+one batched screen, banded upper bounds, staged exact DPs in the kernel
+tier — when it holds :data:`_POOL_FIRST` candidates, then twice that,
+and so on up to ``_DP_BATCH_MAX``, and once more when the loop ends.
+The doubling lets ``dk`` tighten early, while the result heap is still
+filling; first flushes of 2 to 32 and caps of 16 to 256 all measured
+within the ±5 % a single run resolves on the ``bench_e2e`` single-query
+workloads (``docs/architecture.md`` has the sweep), so the sizes are
+constants, not options.  :func:`local_range_search` pools every leaf it reaches and
+flushes once (its radius never moves); :func:`local_search_multi` runs
+one search, hence one pool, per query.
+
+*Pooling never changes the items*, k-th-distance tie-breaks included.
+Between flushes the loop prunes against a *stale* ``dk`` — at least as
+loose as the one a leaf-at-a-time loop would hold at the same pop — so
+it pops the same runs and leaves in the same relative order (extra heap
+entries never reorder the entries both loops share: priorities are
+equal and push order is inherited from the shared parents) plus some
+*extra* ones the tighter loop had pruned or never reached.  Every extra
+candidate lies under a bound that had reached the tighter loop's ``dk``
+at that moment, so — bounds being sound — its distance is at least
+that ``dk``, hence at least every later one.  ``refine_top_k`` replays
+its values in ``tids`` order, i.e. pop order: by induction the heap
+before an extra candidate is the heap the tighter loop held there, and
+:meth:`ResultHeap.offer`'s strict ``<`` (and strict external
+threshold) rejects a distance that is not below ``dk``.  So the shared
+candidates meet the same heap in the same order in both loops
+(``tests/test_pooled_search.py``: a leaf-at-a-time loop on per-pair
+distances, data with forced ties).
 
 Search statistics (runs visited/pruned, refinements) are collected so
 experiments can report pruning effectiveness.
@@ -61,11 +85,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..distances.batch import refine_range, refine_top_k
+from ..distances.base import rounding_slack
+from ..distances.batch import _DP_BATCH_MAX, refine_range, refine_top_k
 from ..distances.kernels import get_kernels
-from ..distances.threshold import distance_with_threshold
 from ..types import Trajectory
 from .bounds import make_bound_computer
+from .pivots import pivot_store, query_pivot_distances
 
 __all__ = ["TopKResult", "SearchStats", "ResultHeap", "PartitionProbe",
            "probe_search", "local_search", "local_search_multi",
@@ -81,13 +106,18 @@ class SearchStats:
     separate visits.  ``nodes_pruned`` counts the runs and leaves whose
     bound reached the threshold and were dropped instead of queued.
 
+    ``leaf_refinements`` counts pool flushes (one batched refinement
+    call each), ``distance_computations`` the candidates that went
+    through them plus any query-to-pivot distances computed locally,
+    and ``exact_refinements`` the candidates that paid a full
+    exact-distance evaluation (an exact DP, or Hausdorff's tensor
+    reduction) instead of being dismissed by a bound — the number
+    threshold propagation exists to shrink.
+
     The first block counts local per-partition work; the second is
     filled in by the driver-side query planner (zero for purely local
     runs) so cluster-wide pruning effectiveness is reportable from one
-    merged object.  ``exact_refinements`` counts candidates that paid a
-    full exact-distance evaluation (an exact DP for DTW/Frechet, the
-    full measure otherwise) instead of being dismissed by a bound — the
-    number threshold propagation exists to shrink.
+    merged object.
     """
 
     nodes_visited: int = 0
@@ -174,15 +204,6 @@ class ResultHeap:
                       key=lambda item: (item[0], item[1]))
 
 
-def _pivot_bound(dqp: np.ndarray | None, node) -> float:
-    """``LBp``: triangle-inequality bound from the node's HR array."""
-    if dqp is None or node.hr_min is None:
-        return 0.0
-    # A handful of pivots: Python's max over lists beats ndarray.max.
-    return max(0.0, *(dqp - node.hr_max).tolist(),
-               *(node.hr_min - dqp).tolist())
-
-
 def _bound_computer(trie, query: Trajectory, kernels: str | None):
     """The query's bound computer over ``trie``'s grid, sweeping runs
     on the requested kernel backend."""
@@ -192,38 +213,61 @@ def _bound_computer(trie, query: Trajectory, kernels: str | None):
     return computer
 
 
-def _query_pivot_distances(trie, query: Trajectory, use_pivots: bool,
-                           dqp: np.ndarray | None, stats=None):
-    """``dqp`` for the pivot bound: None when pivots are off or absent,
-    the caller's shared vector when given, else computed here."""
+def _pivot_bound(trie, query: Trajectory, use_pivots: bool,
+                 dqp: np.ndarray | None, kernels: str | None, stats=None):
+    """``LBp`` of this (trie, query) as a function of a node — the
+    triangle-inequality bound off the node's ``HR`` array — or None
+    when pivots are off or absent.  ``dqp`` is the caller's shared
+    query-to-pivot vector, else computed here (one kernel call).
+
+    ``d(q, t) >= d(q, p) - d(t, p)`` holds between the *real*
+    distances; evaluated on three floats, a tight triangle (collinear
+    points under Hausdorff/Frechet, a query that is a pivot) lands
+    ``dqp - hr_max`` an ulp or two *above* the float ``d(q, t)`` —
+    enough to drop a candidate tied with a seeded ``dk`` — so each of
+    the three gives up :func:`~repro.distances.base.rounding_slack`.
+    """
     if not (use_pivots and trie.pivots):
         return None
     if dqp is None:
-        dqp = np.array([trie.measure.distance(query, p)
-                        for p in trie.pivots])
+        dqp = query_pivot_distances(trie, trie.measure, query, kernels)
         if stats is not None:
             stats.distance_computations += len(trie.pivots)
-    return dqp
+    points = [query.points, trie.store.extent(), pivot_store(trie).extent()]
+    if "gap" in trie.measure.params:
+        points.append(np.array([trie.measure.params["gap"]]))
+    slack = 3.0 * rounding_slack(
+        len(query) + int(trie.root.max_traj_len)
+        + max(len(p) for p in trie.pivots), *points)
+
+    def bound(node) -> float:
+        if node.hr_min is None:
+            return 0.0
+        # A handful of pivots: Python's max over lists beats ndarray.max.
+        return max(0.0, *(dqp - node.hr_max).tolist(),
+                   *(node.hr_min - dqp).tolist()) - slack
+    return bound
 
 
 def _follow_run(node):
     """The run that starts at internal ``node``: its last node — the
-    first one with a ``$`` child or other than exactly one child — and
-    its cells' z-values in path order."""
+    first one with a ``$`` child or other than exactly one child — its
+    cells' z-values in path order, and the last node's ``$`` leaf when
+    that is its only child (else None)."""
     cells = [node.z_value]
     while True:
         children = node.iter_children()
         child = next(children, None)
-        if (child is None or child.is_leaf
-                or next(children, None) is not None):
-            return node, cells
+        if child is None or next(children, None) is not None:
+            return node, cells, None
+        if child.is_leaf:
+            return node, cells, child
         node = child
         cells.append(node.z_value)
 
 
 def _expand(computer, node, state, depth: int, cutoff: float,
-            dqp: np.ndarray | None, use_lbt: bool = True,
-            use_lbo: bool = True):
+            pivot_bound, use_lbt: bool = True, use_lbo: bool = True):
     """Expand ``node``: bound every child subtree, one run at a time.
 
     Returns ``(kept, pruned)``: ``kept`` holds ``(bound, node, state,
@@ -231,8 +275,14 @@ def _expand(computer, node, state, depth: int, cutoff: float,
     ``$`` leaf the leaf itself under the parent's state, for an
     internal child the *last* node of its run under the state extended
     across the whole run — and ``pruned`` counts the children dropped.
-    The pivot bound needs no path state and is the same for every node
-    of a run (same subtree, same ``HR``), so it is read off the child
+    A run whose last node has nothing but a ``$`` leaf (most runs: one
+    trajectory per leaf) is bounded *with* that leaf — ``LBt`` on the
+    run-end state joins the run's bound — and the leaf is what is kept,
+    sparing the heap round trip of a node that could only hand its leaf
+    on; only when the extension ran to the end (a stopped sweep has no
+    run-end state, and is pruned anyway).  The pivot bound needs no
+    path state and is the same for every node of a run and a lone leaf
+    under it (same subtree, same ``HR``), so it is read off the child
     first and a run it already prunes is neither walked nor extended;
     ``cutoff`` also stops a run's extension early (a disabled ``LBo``
     never prunes, so its runs are always extended in full).
@@ -240,20 +290,20 @@ def _expand(computer, node, state, depth: int, cutoff: float,
     pruned = 0
     children = []
     for child in node.iter_children():
-        pivot = 0.0 if dqp is None else _pivot_bound(dqp, child)
+        pivot = 0.0 if pivot_bound is None else pivot_bound(child)
         if pivot >= cutoff:
             pruned += 1
             continue
-        cells = None
+        cells = leaf = None
         if not child.is_leaf:
-            child, cells = _follow_run(child)
-        children.append((child, cells, pivot))
-    runs = [cells for _, cells, _ in children if cells is not None]
+            child, cells, leaf = _follow_run(child)
+        children.append((child, cells, leaf, pivot))
+    runs = [cells for _, cells, _, _ in children if cells is not None]
     if len(runs) > 1:
         computer.touch(runs)
     kept = []
     run_cutoff = cutoff if use_lbo else float("inf")
-    for child, cells, pivot in children:
+    for child, cells, leaf, pivot in children:
         if cells is None:
             bound = (computer.leaf_bound(state, child.dmax, depth)
                      if use_lbt else 0.0)
@@ -261,9 +311,15 @@ def _expand(computer, node, state, depth: int, cutoff: float,
         else:
             child_state, bound = computer.extend(
                 state, cells, child.max_traj_len, run_cutoff)
+            child_depth = depth + len(cells)
+            ran_to_end = bound < run_cutoff
             if not use_lbo:
                 bound = 0.0
-            child_depth = depth + len(cells)
+            if leaf is not None and ran_to_end:
+                child = leaf
+                if use_lbt:
+                    bound = max(bound, computer.leaf_bound(
+                        child_state, leaf.dmax, child_depth))
         bound = max(bound, pivot)
         if bound < cutoff:
             kept.append((bound, child, child_state, child_depth))
@@ -303,8 +359,8 @@ def probe_search(trie, query: Trajectory,
     """Probe one RP-Trie: root/first-level lower bounds only.
 
     The planner's phase-one primitive: costs one bound extension per
-    first-level run (O(first-level cells x query length)), touches no
-    leaves and computes no distances beyond the (driver-shared)
+    first-level run (O(first-level cells x query length)), refines
+    nothing and computes no distances beyond the (driver-shared)
     query-pivot distances.  Ablation switches mirror
     :func:`local_search` so the probe is sound under the same
     configuration it will later search with (a disabled bound
@@ -312,9 +368,9 @@ def probe_search(trie, query: Trajectory,
     """
     trie._require_built()
     computer = _bound_computer(trie, query, kernels)
-    dqp = _query_pivot_distances(trie, query, use_pivots, dqp)
+    pivot_bound = _pivot_bound(trie, query, use_pivots, dqp, kernels)
     kept, unbounded = _expand(computer, trie.root, computer.initial_state(),
-                              0, float("inf"), dqp, use_lbt, use_lbo)
+                              0, float("inf"), pivot_bound, use_lbt, use_lbo)
     bounds = [bound for bound, *_ in kept] + [float("inf")] * unbounded
     return PartitionProbe(
         bound=min(bounds) if bounds else float("inf"),
@@ -325,10 +381,8 @@ def probe_search(trie, query: Trajectory,
 
 #: Padded-tensor float64 elements a :class:`_SharedGatherStore` retains
 #: before ending a share group starts evicting that group's entries.
-#: Generous on purpose — under it nothing is ever evicted, so sharing
-#: within a task is exactly the pre-share-group behaviour; it only
-#: bounds peak memory when very large near-duplicate batches funnel
-#: many share groups through one task.
+#: Generous on purpose: under it nothing is ever evicted; it only bounds
+#: peak memory when many share groups funnel through one task.
 _SHARED_GATHER_BUDGET = 1 << 24
 
 
@@ -336,22 +390,19 @@ class _SharedGatherStore:
     """Read-through store view memoizing :meth:`gather` across queries.
 
     :func:`local_search_multi` runs several queries against one
-    partition; every query that reaches the same leaf gathers the same
-    candidate rows into the same padded tensor.  This view caches
-    ``gather()`` results keyed by ``(tids, max_len)`` so the tensor is
-    built once per leaf per query *group* instead of once per
-    (query, leaf).  Every other attribute delegates to the wrapped
-    store; the batch kernels treat gathered tensors as read-only, so
-    sharing them is invisible in results.
+    partition; two searches whose pools flush the same ids in the same
+    order ask for the same padded tensor.  This view caches
+    ``gather()`` results keyed by ``(tids, max_len)``; every other
+    attribute delegates to the wrapped store, and the batch kernels
+    treat gathered tensors as read-only, so sharing them is invisible
+    in results.  (Since leaves are pooled a key is a *flush*, which two
+    queries rarely repeat: ``docs/architecture.md`` has the hit rate.)
 
-    Entries are additionally tagged with the *share group* of the
-    query that created them (:meth:`begin_group`): near-duplicate
-    share groups walk almost identical leaf sets, so their tensors are
-    the hottest entries while the group runs and dead weight after it.
-    :meth:`release_group` drops a finished group's entries — but only
-    once retained tensors exceed :data:`_SHARED_GATHER_BUDGET`, so
-    small batches keep every tensor and lose no cross-group sharing.
-    :attr:`hits`/:attr:`misses` count served vs built tensors.
+    Entries are tagged with the *share group* of the query that created
+    them (:meth:`begin_group`); :meth:`release_group` drops a finished
+    group's entries, but only once retained tensors exceed
+    :data:`_SHARED_GATHER_BUDGET`.  :attr:`hits`/:attr:`misses` count
+    served vs built tensors.
     """
 
     def __init__(self, store, budget_elems: int = _SHARED_GATHER_BUDGET):
@@ -370,17 +421,12 @@ class _SharedGatherStore:
         self._group = label
 
     def release_group(self, label) -> None:
-        """A share group finished: evict finished groups' tensors while
-        over budget.
+        """A share group finished: evict finished groups' tensors,
+        oldest first, while retained tensors exceed the budget.
 
         Purely a memory policy — a released tensor is rebuilt on the
-        next request, bit-identically, so eviction can never change
-        results.  Finished groups queue up (oldest first) and stay
-        eviction-eligible: while retained tensors exceed the budget,
-        whole finished groups are dropped oldest-first until back
-        under it, so groups released while still under budget are not
-        exempt later.  Under the budget nothing is evicted and
-        cross-group sharing stays complete.
+        next request, bit-identically.  Groups released while under
+        budget stay eviction-eligible later.
         """
         self._released.append(label)
         while self._elems > self.budget_elems and self._released:
@@ -419,18 +465,13 @@ def _persistent_view(store) -> _SharedGatherStore:
 
     Share groups can span engine waves: a staggered near-duplicate
     member's task dispatches one wave *after* its representative's, in
-    a separate :func:`local_search_multi` call.  A per-call view would
-    make the member rebuild every leaf tensor its representative
-    already gathered; this registry hands every call on the same store
-    the same view, so cross-wave group members hit the memoized
-    tensors.  Entries are evicted only by the budget policy
-    (:meth:`_SharedGatherStore.release_group`) and rebuilt
-    bit-identically if evicted, so correctness never depends on the
-    cache — which also makes the rare concurrent access (an engine
-    speculatively duplicating a straggler task) safe: racing writers
-    can at worst build the same tensor twice.  Stores that cannot be
-    weak-referenced (test fakes) get a fresh per-call view, the
-    pre-existing behaviour.
+    a separate :func:`local_search_multi` call, so every call on the
+    same store is handed the same view.  Entries are evicted only by
+    the budget policy (:meth:`_SharedGatherStore.release_group`) and
+    rebuilt bit-identically if evicted, so correctness never depends on
+    the cache — racing writers (an engine speculatively duplicating a
+    straggler task) can at worst build the same tensor twice.  Stores
+    that cannot be weak-referenced (test fakes) get a per-call view.
     """
     try:
         view = _PERSISTENT_VIEWS.get(store)
@@ -445,35 +486,38 @@ def _persistent_view(store) -> _SharedGatherStore:
     return view
 
 
-def _refine_leaf_top_k(trie, measure, query: Trajectory, tids: list[int],
-                       results: ResultHeap, stats: SearchStats,
-                       batch_refine: bool, store=None,
-                       kernels: str | None = None) -> None:
-    """Refine one leaf's candidates into ``results`` (both paths)."""
+#: Pool size of a search's first flush; it doubles per flush up to
+#: ``_DP_BATCH_MAX`` (the module docstring has the sweep behind both).
+_POOL_FIRST = 4
+
+
+def _flush(refine, trie, query: Trajectory, pool: list[int], target,
+           stats: SearchStats, store=None, kernels: str | None = None):
+    """Refine the pooled candidates in one engine call and empty the
+    pool: ``refine`` is :func:`~repro.distances.batch.refine_top_k`
+    with the result heap as ``target``, or
+    :func:`~repro.distances.batch.refine_range` with the radius (whose
+    matches are returned).  Counts one ``leaf_refinements`` and the
+    candidates."""
+    if not pool:
+        return []
+    tids = pool[:]
+    pool.clear()
     stats.leaf_refinements += 1
     stats.distance_computations += len(tids)
-    if batch_refine:
-        refine_top_k(measure, query.points, tids,
-                     store if store is not None else trie.store, results,
-                     stats=stats, kernels=kernels)
-        return
-    for tid in tids:
-        traj = trie.trajectory(tid)
-        dist = distance_with_threshold(
-            measure, query.points, traj.points, results.dk)
-        stats.exact_refinements += 1
-        results.offer(dist, tid)
+    return refine(trie.measure, query.points, tids,
+                  store if store is not None else trie.store, target,
+                  stats=stats, kernels=kernels)
 
 
 def local_search(trie, query: Trajectory, k: int,
                  use_pivots: bool = True, use_lbt: bool = True,
                  use_lbo: bool = True,
                  dqp: np.ndarray | None = None,
-                 batch_refine: bool = True,
                  dk: float = float("inf"),
                  store=None,
                  kernels: str | None = None) -> TopKResult:
-    """Top-k search on one RP-Trie (Algorithm 2).
+    """Top-k search on one RP-Trie (Algorithm 2, leaves pooled).
 
     Parameters
     ----------
@@ -492,23 +536,17 @@ def local_search(trie, query: Trajectory, k: int,
         distributed setting, so the driver computes ``dqp`` once per
         query and shares it with every partition (paper, Section IV-D);
         when None, the distances are computed here.
-    batch_refine:
-        Refine leaf candidates through the vectorized batch engine
-        (default) instead of one at a time.  Both paths return
-        bit-identical results.
     dk:
         Externally known k-th-best distance (the planner's running
         global threshold).  Applied strictly — only candidates whose
         distance *exceeds* ``dk`` may be suppressed — so the driver's
-        merged global top-k is unchanged; it seeds the result heap, the
-        node pruning, the banded screens and the batch refinement
-        threshold, turning cross-partition knowledge into local
-        pruning.  Default infinity: plain single-partition semantics.
+        merged global top-k is unchanged; it seeds the result heap and
+        through it node pruning and every refinement stage.  Default
+        infinity: plain single-partition semantics.
     store:
-        Alternate trajectory store for leaf refinement (default: the
-        trie's own).  :func:`local_search_multi` passes a shared
-        gather-memoizing view so a group of queries builds each leaf's
-        padded tensor once; any substitute must return bit-identical
+        Alternate trajectory store for refinement (default: the trie's
+        own).  :func:`local_search_multi` passes a shared
+        gather-memoizing view; any substitute must return bit-identical
         arrays for the same ids, so results never depend on it.
     kernels:
         Kernel backend for run extension and batch refinement
@@ -516,7 +554,6 @@ def local_search(trie, query: Trajectory, k: int,
         fastest available.  Backends never change results, only speed.
     """
     trie._require_built()
-    measure = trie.measure
     stats = SearchStats()
     # Strict external cutoff: candidates tied with the global k-th best
     # must survive for the driver merge's (distance, tid) tie-breaks.
@@ -524,7 +561,9 @@ def local_search(trie, query: Trajectory, k: int,
                          if np.isfinite(dk) else float("inf"))
 
     computer = _bound_computer(trie, query, kernels)
-    dqp = _query_pivot_distances(trie, query, use_pivots, dqp, stats)
+    pivot_bound = _pivot_bound(trie, query, use_pivots, dqp, kernels, stats)
+    pool: list[int] = []
+    flush_at = _POOL_FIRST
 
     counter = itertools.count()
     # Entries: (priority, tiebreak, node, path_state, depth)
@@ -534,23 +573,27 @@ def local_search(trie, query: Trajectory, k: int,
 
     while heap:
         priority, _, node, state, depth = heapq.heappop(heap)
+        # Stale between flushes — looser, never wrong (module docstring).
         cutoff = results.dk
         if priority >= cutoff:
             break
         stats.nodes_visited += 1
 
         if node.is_leaf:
-            _refine_leaf_top_k(trie, measure, query, list(node.tids),
-                               results, stats, batch_refine, store=store,
-                               kernels=kernels)
+            pool.extend(node.tids)
+            if len(pool) >= flush_at:
+                _flush(refine_top_k, trie, query, pool, results, stats,
+                       store, kernels)
+                flush_at = min(2 * flush_at, _DP_BATCH_MAX)
             continue
 
-        kept, pruned = _expand(computer, node, state, depth, cutoff, dqp,
-                               use_lbt, use_lbo)
+        kept, pruned = _expand(computer, node, state, depth, cutoff,
+                               pivot_bound, use_lbt, use_lbo)
         stats.nodes_pruned += pruned
         for bound, child, child_state, child_depth in kept:
             heapq.heappush(
                 heap, (bound, next(counter), child, child_state, child_depth))
+    _flush(refine_top_k, trie, query, pool, results, stats, store, kernels)
 
     return TopKResult(items=results.sorted_items(), stats=stats)
 
@@ -560,7 +603,6 @@ def local_search_multi(trie, queries: list[Trajectory], k: int,
                        dks: list[float] | None = None,
                        use_pivots: bool = True, use_lbt: bool = True,
                        use_lbo: bool = True,
-                       batch_refine: bool = True,
                        share_groups: list | None = None,
                        kernels: str | None = None,
                        ) -> list[TopKResult]:
@@ -569,41 +611,37 @@ def local_search_multi(trie, queries: list[Trajectory], k: int,
     The multi-query entry point behind the batch query planner
     (:mod:`repro.cluster.batch`): one dispatched partition task runs a
     whole *group* of queries, so the per-task overhead — and, through a
-    shared :class:`_SharedGatherStore` view, each leaf's columnar
-    gather — is paid once per group instead of once per query.  The
-    store's per-measure derived caches (ERP masses, cumulative masses)
-    are shared the same way.  Each query still runs its own best-first
-    traversal and its own batch refinement (the broadcast tensors are
-    query-dependent), seeded with its own entry of the ``dks`` vector.
+    shared :class:`_SharedGatherStore` view, a columnar gather two
+    queries ask for with the same ids — is paid once per group instead
+    of once per query.  The store's per-measure derived caches (ERP
+    masses) are shared the same way.  Each query still
+    runs its own best-first traversal, its own candidate pool and its
+    own batch refinement (the broadcast tensors are query-dependent),
+    seeded with its own entry of the ``dks`` vector.
 
     Parameters mirror :func:`local_search`; ``dqps`` and ``dks`` are
     per-query vectors aligned with ``queries`` (None entries and a None
     vector both mean "not supplied").  ``share_groups``, when given, is
     a per-query vector of *share-group* labels (None for ungrouped):
     queries carrying the same label are near-duplicates, so they are
-    run consecutively — their gathered leaf tensors hit the shared
-    store back to back — and the shared view is *persistent* per store
+    run consecutively, and the shared view is *persistent* per store
     (:func:`_persistent_view`), so a group member whose task runs one
-    engine wave after its representative's still reuses the tensors
+    engine wave after its representative's can still reuse a tensor
     the representative built.  The store may release a finished
-    group's tensors to bound peak memory (see
-    :meth:`_SharedGatherStore.release_group`; execution order and
-    eviction can never change any query's answer, because every search
-    is an independent pure function of its own arguments).  Returns one
+    group's tensors to bound peak memory; execution order and eviction
+    can never change any query's answer, because every search is an
+    independent pure function of its own arguments.  Returns one
     :class:`TopKResult` per query, in input order, each **bit-identical**
     to ``local_search(trie, query, k, dqp=..., dk=...)`` run alone —
     only shared read-only tensors and caches differ.
     """
-    # Share-grouped calls use the *persistent* per-store view: a
-    # staggered member's task runs one engine wave after its
-    # representative's, so the tensors it should share were gathered in
-    # a previous call.  Ungrouped multi-query calls keep a fresh
-    # per-call view (sharing within the task only).
-    persistent = (batch_refine and share_groups is not None
+    # Share-grouped calls use the *persistent* per-store view (see
+    # above); ungrouped multi-query calls share within the task only.
+    persistent = (share_groups is not None
                   and any(label is not None for label in share_groups))
     if persistent:
         shared = _persistent_view(trie.store)
-    elif batch_refine and len(queries) > 1:
+    elif len(queries) > 1:
         shared = _SharedGatherStore(trie.store)
     else:
         # One ungrouped query has nobody to share a gather with: a memo
@@ -629,14 +667,11 @@ def local_search_multi(trie, queries: list[Trajectory], k: int,
             trie, queries[index], k,
             use_pivots=use_pivots, use_lbt=use_lbt, use_lbo=use_lbo,
             dqp=dqps[index] if dqps is not None else None,
-            batch_refine=batch_refine,
             dk=dks[index] if dks is not None else float("inf"),
             store=shared, kernels=kernels)
     if persistent:
-        # Mark every label this call used (None included) releasable:
-        # the persistent view keeps tensors until its budget forces
-        # oldest-first eviction, so cross-wave members still hit them,
-        # while unbounded growth across a long stream is impossible.
+        # Every label this call used (None included) is releasable
+        # now: kept until the budget forces oldest-first eviction.
         for label in dict.fromkeys(
                 share_groups[index] for index in order):
             shared.release_group(label)
@@ -646,7 +681,6 @@ def local_search_multi(trie, queries: list[Trajectory], k: int,
 def local_range_search(trie, query: Trajectory, radius: float,
                        use_pivots: bool = True,
                        dqp: np.ndarray | None = None,
-                       batch_refine: bool = True,
                        kernels: str | None = None) -> TopKResult:
     """All trajectories within ``radius`` of the query, ascending.
 
@@ -655,16 +689,15 @@ def local_range_search(trie, query: Trajectory, radius: float,
     reaches ``radius``.  (Range search is the primitive DITA builds its
     top-k on; REPOSE supports it natively with the same bounds.)  As in
     :func:`local_search`, ``dqp`` lets the driver share query-to-pivot
-    distances across partitions, and leaf candidates are screened by
-    the batch engine unless ``batch_refine`` is disabled.
+    distances across partitions.  The radius never moves, so every leaf
+    reached is pooled and the pool is refined by one batch engine call
+    at the end.
     """
     trie._require_built()
-    measure = trie.measure
     stats = SearchStats()
-    items: list[tuple[float, int]] = []
-
     computer = _bound_computer(trie, query, kernels)
-    dqp = _query_pivot_distances(trie, query, use_pivots, dqp, stats)
+    pivot_bound = _pivot_bound(trie, query, use_pivots, dqp, kernels, stats)
+    pool: list[int] = []
     # A subtree survives while its bound is <= radius, i.e. strictly
     # below the next float (also what a distance equal to the radius
     # needs to be computed exactly and included).
@@ -675,24 +708,13 @@ def local_range_search(trie, query: Trajectory, radius: float,
         node, state, depth = stack.pop()
         stats.nodes_visited += 1
         if node.is_leaf:
-            stats.leaf_refinements += 1
-            tids = list(node.tids)
-            stats.distance_computations += len(tids)
-            if batch_refine:
-                items.extend(refine_range(measure, query.points, tids,
-                                          trie.store, radius, stats=stats,
-                                          kernels=kernels))
-            else:
-                for tid in tids:
-                    traj = trie.trajectory(tid)
-                    dist = distance_with_threshold(
-                        measure, query.points, traj.points, cutoff)
-                    stats.exact_refinements += 1
-                    if dist <= radius:
-                        items.append((dist, tid))
+            pool.extend(node.tids)
             continue
-        kept, pruned = _expand(computer, node, state, depth, cutoff, dqp)
+        kept, pruned = _expand(computer, node, state, depth, cutoff,
+                               pivot_bound)
         stats.nodes_pruned += pruned
         stack.extend(entry[1:] for entry in kept)
 
+    items = _flush(refine_range, trie, query, pool, radius, stats,
+                   kernels=kernels)
     return TopKResult(items=sorted(items), stats=stats)

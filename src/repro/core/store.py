@@ -1,13 +1,12 @@
 """Columnar trajectory store: one contiguous point array per partition.
 
-The per-trajectory refinement loop paid a Python/numpy call overhead for
-every candidate.  The batch refinement engine
-(:mod:`repro.distances.batch`) instead screens a leaf's candidates as
-one padded tensor, which requires the partition's trajectories to be
-gathered cheaply into contiguous arrays.  This module provides that
-layout: every trajectory's points are packed into a single
-``(total_points, 2)`` float64 array plus an offsets array, built once at
-index-construction time and shared by :class:`~repro.core.rptrie.RPTrie`,
+The batch refinement engine (:mod:`repro.distances.batch`) screens a
+candidate set as one padded tensor, which requires the partition's
+trajectories to be gathered cheaply into contiguous arrays.  This
+module provides that layout: every trajectory's points are packed into
+a single ``(total_points, 2)`` float64 array plus an offsets array,
+built once at index-construction time and shared by
+:class:`~repro.core.rptrie.RPTrie`,
 :class:`~repro.core.succinct.SuccinctRPTrie` and the baselines.
 
 Design notes:
@@ -18,10 +17,9 @@ Design notes:
 * Incremental inserts are buffered in a pending list and consolidated
   lazily, keeping ``append`` O(1) amortized instead of re-concatenating
   the column on every insert.
-* Per-measure derived columns (the ERP gap-mass of every trajectory,
-  and the running per-point cumulative masses behind the per-prefix ERP
-  bound) are cached on the store, so they are computed once per
-  partition instead of once per (query, candidate) pair.
+* Per-measure derived columns (the ERP gap-mass of every trajectory)
+  are cached on the store, so they are computed once per partition
+  instead of once per (query, candidate) pair.
 * The columnar arrays are exactly what :mod:`repro.persistence` writes,
   so a loaded index re-creates its store zero-copy.
 """
@@ -55,7 +53,7 @@ class TrajectoryStore:
         self._row_by_tid: dict[int, int] = {}
         self._pending: list[Trajectory] = []
         self._mass_cache: dict[tuple[float, float], np.ndarray] = {}
-        self._cum_mass_cache: dict[tuple[float, float], np.ndarray] = {}
+        self._extent: np.ndarray | None = None
         #: Number of :meth:`gather` tensor builds this store has
         #: performed.  Pure observability (benchmarks compare it across
         #: sharing configurations); memoizing views that serve a cached
@@ -119,7 +117,7 @@ class TrajectoryStore:
                  np.array([t.traj_id for t in self._pending],
                           dtype=np.int64)])
             self._mass_cache.clear()
-            self._cum_mass_cache.clear()
+            self._extent = None
             self._pending.clear()
 
     def __getstate__(self) -> dict:
@@ -167,6 +165,17 @@ class TrajectoryStore:
         """The trajectory's ``(n, 2)`` point array (bit-identical to the
         array it was inserted with)."""
         return self._by_id[tid].points
+
+    def extent(self) -> np.ndarray:
+        """``[[xmin, ymin], [xmax, ymax]]`` over every stored point
+        (no rows for an empty store); cached until the next insert is
+        consolidated."""
+        self._consolidate()
+        if self._extent is None:
+            points = self._points
+            self._extent = (np.array([points.min(axis=0), points.max(axis=0)])
+                            if len(points) else points)
+        return self._extent
 
     def columnar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(tids, offsets, points)`` — the persisted representation."""
@@ -247,53 +256,38 @@ class TrajectoryStore:
         rows = [self._row_by_tid[tid] for tid in tids]
         return masses[rows]
 
-    def _cumulative_masses(self, key: tuple[float, float]) -> np.ndarray:
-        """Running per-point gap-mass sums over the whole column.
-
-        ``cum[i]`` is the mass of the first ``i`` points of the flat
-        column, so any trajectory-prefix mass is one subtraction:
-        ``cum[offset + k] - cum[offset]``.  Cached per gap point.
-        """
-        cum = self._cum_mass_cache.get(key)
-        if cum is None:
-            flat = np.hypot(self._points[:, 0] - key[0],
-                            self._points[:, 1] - key[1])
-            cum = np.concatenate(([0.0], np.cumsum(flat)))
-            self._cum_mass_cache[key] = cum
-        return cum
-
     def erp_prefix_masses(self, tids: Iterable[int],
                           gap: tuple[float, float],
                           depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-candidate prefix gap masses for the tighter ERP bound.
 
-        Returns
-        -------
-        (prefixes, totals):
-            ``prefixes`` has shape ``(c, depth + 1)``; column ``j``
-            holds the gap-cost mass of the first ``min(j, len)`` points
-            of each candidate, so trajectories shorter than ``depth``
-            plateau at their total mass.  ``totals`` has shape ``(c,)``
-            and holds each candidate's full mass computed from the same
-            running sums, keeping prefix/suffix arithmetic internally
-            consistent.
+        Returns ``(prefixes, totals)``: ``prefixes`` has shape ``(c,
+        depth + 1)``, column ``j`` holding the gap-cost mass of the
+        first ``min(j, len)`` points of each candidate (shorter
+        trajectories plateau at their total); ``totals`` is
+        :meth:`erp_masses`.  Each prefix is the trajectory's *own*
+        running sum from zero and each total its own ``sum`` — what a
+        query computes for itself with ``cumsum``/``sum`` — so a
+        candidate identical to the query gets bit-equal masses and a
+        bound of exactly 0 (differences of one store-wide running sum
+        carried its rounding, ~1e-9 on a large column, into every bound).
         """
         self._consolidate()
-        key = (float(gap[0]), float(gap[1]))
-        cum = self._cumulative_masses(key)
+        tids = list(tids)
         rows = np.array([self._row_by_tid[tid] for tid in tids],
                         dtype=np.int64)
-        if rows.size == 0:
-            return (np.empty((0, depth + 1), dtype=np.float64),
-                    np.empty(0, dtype=np.float64))
-        offs = self._offsets[rows]
-        lens = self._offsets[rows + 1] - offs
-        base = cum[offs]
-        jj = np.minimum(np.arange(depth + 1, dtype=np.int64),
-                        lens[:, np.newaxis])
-        prefixes = cum[offs[:, np.newaxis] + jj] - base[:, np.newaxis]
-        totals = cum[offs + lens] - base
-        return prefixes, totals
+        prefixes = np.zeros((len(tids), depth + 1), dtype=np.float64)
+        if rows.size:
+            offs = self._offsets[rows]
+            lens = self._offsets[rows + 1] - offs
+            cols = np.arange(depth, dtype=np.int64)
+            valid = cols < lens[:, np.newaxis]
+            points = self._points[(offs[:, np.newaxis] + cols)[valid]]
+            steps = np.zeros((len(tids), depth), dtype=np.float64)
+            steps[valid] = np.hypot(points[:, 0] - gap[0],
+                                    points[:, 1] - gap[1])
+            np.cumsum(steps, axis=1, out=prefixes[:, 1:])
+        return prefixes, self.erp_masses(tids, gap)
 
     def memory_bytes(self) -> int:
         """Footprint of the columnar arrays (excludes the originals)."""

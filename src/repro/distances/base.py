@@ -21,9 +21,35 @@ import numpy as np
 from ..exceptions import UnsupportedMeasureError
 from ..types import Trajectory
 
-__all__ = ["Measure", "register_measure", "get_measure", "list_measures"]
+__all__ = ["Measure", "register_measure", "get_measure", "list_measures",
+           "rounding_slack"]
 
 DistanceFn = Callable[..., float]
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def rounding_slack(terms, *points):
+    """Absolute float error of a sum of at most ``terms`` step costs
+    between ``points``, however the sum is associated.
+
+    The one guard of every lower bound that is compared with an exact
+    distance *across two evaluations*: the DTW row/column-minima
+    screen, the ERP gap-mass bounds, the row minima the DTW/ERP DPs
+    abandon on, the pivot bound.  Each holds between the real values,
+    but when it is tight both sides add up the same costs in different
+    orders (the exact DPs run a min-plus scan, ``prefix + cummin(
+    candidates - prefix)``, which re-adds a row prefix at every cell),
+    the bound lands an ulp above the float distance, and a candidate
+    tied with a seeded ``dk`` is lost.  Derived, not tuned: a step cost
+    is a distance between two of ``points`` (arrays of ``(x, y)``
+    rows), so at most their bounding-box diagonal ``span``; every
+    partial result — a DP cell, a row prefix — is at most ``terms *
+    span``; at most ``3 * terms`` roundings of half an ulp at that
+    magnitude lead to a final value.  The factor 4 (for 1.5) also
+    covers the costs' own ``sqrt`` rounding.  ``terms`` may be an array.
+    """
+    span = float(np.hypot(*np.ptp(np.vstack(points), axis=0)))
+    return (4.0 * _EPS * span) * terms * terms
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Vectorized batch refinement: padded/masked candidate-set kernels.
 
-Leaf refinement dominates REPOSE's query cost: every candidate that
-survives the RP-Trie bounds needs an exact-distance check, and the
-per-trajectory loop pays a Python/numpy call overhead per candidate.
-This module refines a whole candidate batch at once, in three stages.
+Every candidate that survives the RP-Trie bounds needs an
+exact-distance check.  This module refines a whole candidate batch — a
+search's pooled leaves (:mod:`repro.core.search`), or a partition for
+the scan — at once, in three stages.
 
 **Stage 1 — batched screen.**  A single broadcasted
 query-to-all-candidate-points distance tensor of shape ``(c, m, Lmax)``
@@ -53,31 +53,27 @@ DPs dispatch through the kernel registry
 (:mod:`repro.distances.kernels`), so the same sweeps can run as
 compiled native code; backends agree bit-for-bit on exact values.
 A final replay pass offers the refined values in the original candidate
-order, which makes the outcome **bit-identical** to the per-trajectory
+order, which makes the outcome **bit-identical** to a per-trajectory
 early-abandoning loop, including how equal distances at the k-th
-boundary tie-break: every value that can enter the heap is either the
-sequential DP's value bit-for-bit, produced by the same
-:func:`distance_with_threshold` call (same operands, same threshold)
-the sequential loop would have made, or a sound lower bound already at
-or above the heap's threshold when offered — a no-op that leaves the
-heap untouched (the replay recomputes any non-exact value that could
-still be accepted before offering it).
+boundary tie-break (:func:`refine_top_k` says why).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import Measure
-from .dtw import dtw_banded_distance, dtw_distance
+from .base import Measure, rounding_slack
+from .dtw import dtw_banded_distance
 from .edr import DEFAULT_EPS as _EDR_DEFAULT_EPS
 from .edr import edr_banded_distance
 from .erp import DEFAULT_PREFIX_DEPTH
-from .frechet import frechet_distance
 from .kernels import get_kernels
 from .lcss import DEFAULT_EPS as _LCSS_DEFAULT_EPS
 from .lcss import lcss_banded_distance
-from .threshold import distance_with_threshold
+# Not called here any more: the per-pair path is the tests' oracle.  The
+# name stays bound because benchmarks/e2e/layers.py wraps it by name
+# (its ``distances.threshold.perpair_ms`` span then reads 0).
+from .threshold import distance_with_threshold  # noqa: F401
 
 __all__ = [
     "batch_point_distance_tensor",
@@ -97,6 +93,7 @@ __all__ = [
     "BatchRefiner",
     "refine_top_k",
     "refine_range",
+    "exact_distances",
 ]
 
 #: Sakoe-Chiba radius for driver-side sampled upper bounds
@@ -822,45 +819,32 @@ def _reduce_tensor(name: str, dist: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
     """Refinement bounds from one ``(cc, m, L)`` distance tensor.
 
-    The reductions mirror the per-pair prefilters exactly: min/max are
-    order-exact, and every sum runs over a contiguous slice of the same
-    length the per-pair code would sum, so the results are bit-identical
-    to ``distance_with_threshold``'s internal lower bounds.
+    The reductions mirror the per-pair prefilters; they hold in real
+    arithmetic (:class:`BatchRefiner` takes the DTW sums' float guard,
+    :func:`~repro.distances.base.rounding_slack`, off afterwards).
     """
     row_min = dist.min(axis=2)                      # (cc, m)
     col_min = dist.min(axis=1)                      # (cc, L): inf padded
-    count, width = col_min.shape
+    valid = (np.arange(col_min.shape[1])[np.newaxis, :]
+             < lengths[:, np.newaxis])
     if name == "dtw":
-        out = np.empty(count, dtype=np.float64)
-        row_sums = row_min.sum(axis=1)
-        for i in range(count):
-            n = int(lengths[i])
-            out[i] = max(float(row_sums[i]), float(col_min[i, :n].sum()))
-        return out
+        return np.maximum(row_min.sum(axis=1),
+                          np.where(valid, col_min, 0.0).sum(axis=1))
     # hausdorff / frechet: symmetric Hausdorff value
     forward = row_min.max(axis=1)
-    valid = np.arange(width)[np.newaxis, :] < lengths[:, np.newaxis]
     backward = np.where(valid, col_min, -np.inf).max(axis=1)
     return np.maximum(forward, backward)
 
 
 def _tensor_bounds(name: str, query: np.ndarray, padded: np.ndarray,
-                   lengths: np.ndarray,
-                   retain: list | None = None) -> np.ndarray:
-    """Hausdorff / Frechet / DTW bounds over length-sorted chunks.
-
-    When ``retain`` is a list, each chunk's tensor is appended to it as
-    ``(rows, tensor)`` so callers can slice per-candidate distance
-    matrices back out for the exact DP.
-    """
+                   lengths: np.ndarray) -> np.ndarray:
+    """Hausdorff / Frechet / DTW bounds over length-sorted chunks."""
     out = np.empty(len(lengths), dtype=np.float64)
     for rows in _length_sorted_chunks(lengths, len(query)):
         chunk_lengths = lengths[rows]
         width = int(chunk_lengths.max())
         dist = batch_point_distance_tensor(query, padded[rows, :width])
         out[rows] = _reduce_tensor(name, dist, chunk_lengths)
-        if retain is not None:
-            retain.append((rows, dist))
     return out
 
 
@@ -905,12 +889,17 @@ def candidate_lower_bounds(measure: Measure, query: np.ndarray,
     Only the tensor-based measures pay the gather; ERP uses the store's
     cached per-trajectory masses (the classic gap-mass bound — the
     tighter per-prefix variant lives on :class:`BatchRefiner`, which
-    knows the pruning threshold) and EDR only needs lengths.
+    knows the pruning threshold) and EDR only needs lengths.  A measure
+    registered from outside has neither bound nor kernel: its "bounds"
+    are its distances, flagged exact like Hausdorff's.
     """
     name = measure.name
     if name in ("hausdorff", "frechet", "dtw"):
         padded, lengths = store.gather(tids)
         return batch_lower_bounds(measure, query, padded, lengths)
+    if name not in ("erp", "edr", "lcss"):
+        return np.array([measure.distance(query, store.points_of(tid))
+                         for tid in tids], dtype=np.float64), True
     # ERP/EDR/LCSS need no gather: delegate to batch_lower_bounds with
     # only the lengths (and the store's cached masses for ERP).
     masses = None
@@ -929,10 +918,11 @@ def _erp_prefix_tighten(measure: Measure, query: np.ndarray, store,
 
     Batch analogue of :func:`repro.distances.erp.erp_prefix_bound`: the
     exact edit DP runs on the leading ``DEFAULT_PREFIX_DEPTH`` corner of
-    every candidate at once (prefix gap masses come precomputed from the
-    store's cumulative-mass cache) and the suffixes are bounded by their
-    gap-mass difference.  Returns bounds for ``rows`` only, already
-    ``max``-ed with the classic bound.
+    every candidate at once and the suffixes are bounded by their
+    gap-mass difference.  The query's prefix and total masses are summed the way
+    the store sums a candidate's (``cumsum`` from zero, ``sum``), so a
+    candidate identical to the query is bounded by exactly 0.  Returns
+    bounds for ``rows`` only, already ``max``-ed with the classic bound.
     """
     gap = tuple(np.asarray(measure.params.get("gap", (0.0, 0.0))))
     depth = DEFAULT_PREFIX_DEPTH
@@ -940,7 +930,7 @@ def _erp_prefix_tighten(measure: Measure, query: np.ndarray, store,
     g = np.asarray(gap, dtype=np.float64)
     ga = np.hypot(query[:, 0] - g[0], query[:, 1] - g[1])
     ca = np.concatenate(([0.0], np.cumsum(ga)))
-    suff_a = ca[-1] - ca
+    suff_a = ga.sum() - ca
     pa = min(depth, len(query))
     prefixes, totals = store.erp_prefix_masses(sub_tids, gap, depth)
     padded, _ = store.gather(sub_tids, max_len=depth)
@@ -967,14 +957,6 @@ def _erp_prefix_tighten(measure: Measure, query: np.ndarray, store,
              + np.abs(suff_a[np.newaxis, :pa + 1]
                       - suff_b[:, pb:pb + 1])).min(axis=1)
     return np.maximum(classic[rows], np.minimum(bottom, right))
-
-
-#: Below these candidate counts the per-trajectory loop beats the batch
-#: kernels (gather/broadcast setup overhead); the sequential path is
-#: used instead.  Hausdorff amortizes fastest because the tensor yields
-#: the exact distance outright.
-_MIN_BATCH = {"hausdorff": 2}
-_MIN_BATCH_DEFAULT = 4
 
 
 def _edit_eps(measure: Measure) -> float:
@@ -1020,16 +1002,13 @@ class BatchRefiner:
     """Bounds, banded upper bounds and exact evaluation for one batch.
 
     Computes all candidates' refinement lower bounds up front (one
-    batched kernel) and then answers per-candidate
-    ``exact_or_bound(i, threshold)`` queries with the same contract as
-    :func:`distance_with_threshold`: every batch bound is a sound
-    lower bound at least as tight as that function's internal
-    prefilter (for most measures it reproduces the prefilter values
-    bit-for-bit; the EDR/LCSS admission bounds are strictly tighter),
-    so its branch can be replicated without recomputing the prefilter
-    — a returned bound always lands at or above the threshold the
-    sequential call would have pruned with, and exact values are the
-    sequential DP's bits.
+    batched kernel): :attr:`bounds`, each a lower bound of the float
+    distance the exact DP returns (:attr:`is_exact`: the distance
+    itself — Hausdorff).  The DTW and ERP bounds, and the row minima
+    their exact DPs abandon on, are float sums taken in another order
+    than the DP's final value, so they give up
+    :func:`~repro.distances.base.rounding_slack`; min/max selections
+    (Hausdorff under Frechet) and integer bounds (EDR/LCSS) need none.
 
     For the DP measures (Frechet/DTW, ERP, and the integer edit
     measures EDR/LCSS) three further accelerations apply:
@@ -1073,24 +1052,23 @@ class BatchRefiner:
         self.tids = tids
         self.name = measure.name
         self.kernels = get_kernels(kernels)
+        self.is_exact = False
         self.uppers: np.ndarray | None = None
         self.exact_mask: np.ndarray | None = None
         self._chunks: list | None = None    # [(rows, tensor)] when kept
         self._row_of: np.ndarray | None = None
         self._lengths: np.ndarray | None = None
         self._erp_ga: np.ndarray | None = None
-        if self.name in ("frechet", "dtw") and tids:
+        if self.name in ("frechet", "dtw", "edr", "lcss") and tids:
             padded, lengths = store.gather(tids)
             self._lengths = lengths
             # Keep the per-chunk tensors for DP reuse unless the whole
             # batch is too large to hold resident.
             keep = int(lengths.sum()) * len(query) <= _CHUNK_ELEMS
-            self._screen_tensor_measures(padded, lengths, dk, keep)
-        elif self.name in ("edr", "lcss") and tids:
-            padded, lengths = store.gather(tids)
-            self._lengths = lengths
-            keep = int(lengths.sum()) * len(query) <= _CHUNK_ELEMS
-            self._screen_edit_measures(padded, lengths, dk, keep)
+            screen = (self._screen_tensor_measures
+                      if self.name in ("frechet", "dtw")
+                      else self._screen_edit_measures)
+            screen(padded, lengths, dk, keep)
         elif self.name == "erp" and tids:
             self._lengths = store.lengths(tids)
             self.bounds, _ = candidate_lower_bounds(measure, query,
@@ -1106,9 +1084,18 @@ class BatchRefiner:
                         measure, query, store, tids, self.bounds,
                         survivors)
         else:
-            self.bounds, _ = candidate_lower_bounds(measure, query,
-                                                    store, tids)
-        self.is_exact = self.name == "hausdorff"
+            self.bounds, self.is_exact = candidate_lower_bounds(
+                measure, query, store, tids)
+        if self.name in ("dtw", "erp") and tids:
+            # The two summing measures: the screens above and the row
+            # minima exact_batch abandons on are other float sums than
+            # the DP's final value.
+            points = [query, store.extent()]
+            if self.name == "erp":
+                points.append(np.asarray(measure.params.get(
+                    "gap", (0.0, 0.0)), dtype=np.float64)[np.newaxis])
+            self._slack = rounding_slack(len(query) + self._lengths, *points)
+            self.bounds -= self._slack
 
     def _screen_tensor_measures(self, padded: np.ndarray,
                                 lengths: np.ndarray, dk: float,
@@ -1292,66 +1279,43 @@ class BatchRefiner:
         entry is False.  Reuses retained tensor slices when available,
         otherwise regathers just these candidates.
         """
-        if len(idxs) == 1:
-            return (np.array([self._exact_pair(idxs[0])]),
-                    np.ones(1, dtype=bool))
-        kern = self.kernels
         if self.name == "erp":
-            dm, ga, gb, lengths = self._erp_tensors(idxs)
-            return kern.erp_exact(dm, ga, gb, lengths, dk=dk)
-        edit = self.name in ("edr", "lcss")
-        lengths = self._lengths[idxs]
-        if self._chunks is not None:
-            width = int(lengths.max())
-            if edit:
-                dm = np.zeros((len(idxs), len(self.query), width),
-                              dtype=bool)
-            else:
-                dm = np.full((len(idxs), len(self.query), width), np.inf)
-            for k, i in enumerate(idxs):
-                piece = self._slice(i)
-                dm[k, :, :piece.shape[1]] = piece
+            args = self._erp_tensors(idxs)
         else:
-            padded, lengths = self.store.gather(
-                [self.tids[i] for i in idxs])
-            if edit:
-                dm = batch_match_tensor(self.query, padded,
-                                        _edit_eps(self.measure))
+            edit = self.name in ("edr", "lcss")
+            lengths = self._lengths[idxs]
+            if self._chunks is not None:
+                width = int(lengths.max())
+                if edit:
+                    dm = np.zeros((len(idxs), len(self.query), width),
+                                  dtype=bool)
+                else:
+                    dm = np.full((len(idxs), len(self.query), width),
+                                 np.inf)
+                for k, i in enumerate(idxs):
+                    piece = self._slice(i)
+                    dm[k, :, :piece.shape[1]] = piece
             else:
-                dm = batch_point_distance_tensor(self.query, padded)
-        if self.name == "dtw":
-            return kern.dtw_exact(dm, lengths, dk=dk)
-        if self.name == "frechet":
-            return kern.frechet_exact(dm, lengths, dk=dk)
-        if self.name == "edr":
-            return kern.edr_exact(dm, lengths, dk=dk)
-        return kern.lcss_exact(dm, lengths, dk=dk)
-
-    def _exact_pair(self, i: int) -> float:
-        """Per-pair exact evaluation for candidate ``i`` (DP measures).
-
-        Frechet/DTW reuse the retained distance-matrix slice; the edit
-        measures run the per-pair integer DP itself (the reference the
-        batched kernels are bit-identical to)."""
-        points = self.store.points_of(self.tids[i])
-        if self.name == "frechet":
-            return frechet_distance(self.query, points, dm=self._slice(i))
-        if self.name == "dtw":
-            return dtw_distance(self.query, points, dm=self._slice(i))
-        return self.measure.distance(self.query, points)
-
-    def exact_or_bound(self, i: int, threshold: float) -> float:
-        """``distance_with_threshold`` for candidate ``i``, reusing the
-        batch bound as the prefilter (bit-identical result)."""
-        bound = float(self.bounds[i])
-        if bound >= threshold:
-            return bound
-        if self.name in ("frechet", "dtw"):
-            return self._exact_pair(i)
-        # ERP/EDR/LCSS: the cheap prefilter already passed (or does not
-        # exist), so the full computation is what the threshold path runs.
-        return self.measure.distance(self.query,
-                                     self.store.points_of(self.tids[i]))
+                padded, lengths = self.store.gather(
+                    [self.tids[i] for i in idxs])
+                if edit:
+                    dm = batch_match_tensor(self.query, padded,
+                                            _edit_eps(self.measure))
+                else:
+                    dm = batch_point_distance_tensor(self.query, padded)
+            args = (dm, lengths)
+        kernel = getattr(self.kernels, f"{self.name}_exact")
+        if self.name not in ("dtw", "erp"):
+            # Exact selections (Frechet) and integer DPs: a running
+            # lower bound can never round above the final value.
+            return kernel(*args, dk=dk)
+        # DTW and ERP *sum*, and their min-plus scan reassociates each
+        # row, so a row minimum can land an ulp above the final value:
+        # abandon only past the guard, and hand the bound back less it.
+        guard = float(self._slack[idxs].max())
+        values, exact = kernel(*args, dk=dk + guard)
+        values[~exact] -= guard
+        return values, exact
 
     def _slice(self, i: int) -> np.ndarray | None:
         if self._chunks is None:
@@ -1372,51 +1336,45 @@ def refine_top_k(measure: Measure, query: np.ndarray, tids: list[int],
     ``heap.dk``.  ``stats``, when given, must expose an
     ``exact_refinements`` counter; it is incremented once per exact
     evaluation actually performed (each candidate of a staged batched
-    DP, each thresholded full computation on the non-DP path), the
-    planner's measure of how much work threshold propagation saved.
+    DP, each candidate of a measure whose screen *is* the exact
+    distance — Hausdorff's tensor reduction), the planner's measure of
+    how much work threshold propagation saved.
     The heap ends up bit-identical to offering each candidate's
     ``distance_with_threshold(..., heap.dk)`` value in ``tids`` order:
 
-    1. bounds for all candidates come from one batched kernel; for
-       DTW/Frechet a banded DP additionally yields upper bounds, whose
-       k-th smallest caps the best threshold the batch can end with;
+    1. bounds for all candidates come from one batched kernel; a
+       banded DP additionally yields upper bounds, whose k-th smallest
+       caps the best threshold the batch can end with;
     2. candidates are probed in ascending-bound order against a clone
-       of the heap, running exact computations only while the bound
-       beats the tighter of the probe's ``dk`` and the banded cap —
-       once one candidate's bound fails, all remaining (larger) bounds
-       fail too.  DTW/Frechet exact values come from staged batched
-       DPs (doubling stages, so a tight threshold stops most DPs);
+       of the heap, in doubling stages of one batched exact DP each,
+       only while the bound beats the tighter of the probe's ``dk`` and
+       the banded cap — once one candidate's bound fails, all remaining
+       (larger) bounds fail too;
     3. the refined values replay into the real heap in the original
        order; a stored lower bound that would now be accepted is
-       recomputed with the replay threshold first, so only values the
-       sequential loop would have produced ever enter the heap.
+       recomputed exactly first (a one-candidate kernel call).
 
-    Every value that can enter the heap is either the sequential DP's
-    result bit-for-bit (batched DPs reproduce the per-pair float
-    operations for every candidate they mark exact), the output of the
-    same ``distance_with_threshold`` call the sequential loop would
-    have made, or a sound lower bound already at or above ``heap.dk``
-    when offered (an early-abandoned DP or a tightened admission
-    bound — a no-op offer either way), so the final heap — including
-    tie-breaks at the k-th boundary — is bit-identical to the
-    per-trajectory loop's.  ``kernels`` selects the DP backend
+    Every value that can enter the heap is the sequential DP's result
+    bit-for-bit (batched DPs reproduce the per-pair float operations
+    for every candidate they mark exact); everything else is a sound
+    lower bound already at or above ``heap.dk`` when offered (an
+    early-abandoned DP or an admission bound — a no-op offer), so the
+    final heap — tie-breaks at the k-th boundary included — is the
+    per-trajectory loop's.  Nothing here reaches the per-pair Python
+    DPs of ``distances/{dtw,frechet,erp,edr,lcss}.py``: they are the
+    tests' oracle.  ``kernels`` selects the DP backend
     (:mod:`repro.distances.kernels`); backends never change the heap,
     only the speed.
     """
     count = len(tids)
     if count == 0:
         return
-    if count < _MIN_BATCH.get(measure.name, _MIN_BATCH_DEFAULT):
-        for tid in tids:
-            if stats is not None:
-                stats.exact_refinements += 1
-            heap.offer(distance_with_threshold(
-                measure, query, store.points_of(tid), heap.dk), tid)
-        return
     refiner = BatchRefiner(measure, query, store, tids, dk=heap.dk,
                            kernels=kernels)
     bounds = refiner.bounds
     if refiner.is_exact:
+        if stats is not None:
+            stats.exact_refinements += count
         for tid, dist in zip(tids, bounds.tolist()):
             heap.offer(dist, tid)
         return
@@ -1425,7 +1383,7 @@ def refine_top_k(measure: Measure, query: np.ndarray, tids: list[int],
     exact = np.zeros(count, dtype=bool)
     probe = heap.clone()
     cap = np.inf
-    if refiner.exact_mask is not None and refiner.exact_mask.any():
+    if refiner.uppers is not None:
         # Full-coverage banded sweeps already produced exact distances.
         known = np.flatnonzero(refiner.exact_mask)
         values[known] = refiner.uppers[known]
@@ -1434,7 +1392,6 @@ def refine_top_k(measure: Measure, query: np.ndarray, tids: list[int],
             stats.exact_refinements += int(known.size)
         for i in known.tolist():
             probe.offer(values[i], tids[i])
-    if refiner.uppers is not None:
         # The k-th smallest upper bound caps the k-th best distance this
         # batch can end with; min()-ed with the probe's dk below.
         capper = heap.clone()
@@ -1444,65 +1401,49 @@ def refine_top_k(measure: Measure, query: np.ndarray, tids: list[int],
         cap = capper.dk
 
     order = np.argsort(bounds, kind="stable").tolist()
-    if refiner.supports_batch_dp:
-        pos = 0
-        stage = _DP_BATCH0
-        while pos < count:
-            dk = min(probe.dk, cap)
-            group: list[int] = []
-            while pos < count and len(group) < stage:
-                i = order[pos]
-                if exact[i]:
-                    pos += 1
-                    continue
-                if bounds[i] >= dk:
-                    # Bounds are processed ascending, so every
-                    # remaining bound fails too.
-                    pos = count
-                    break
-                group.append(i)
+    pos = 0
+    stage = _DP_BATCH0
+    while pos < count:
+        dk = min(probe.dk, cap)
+        group: list[int] = []
+        while pos < count and len(group) < stage:
+            i = order[pos]
+            if exact[i]:
                 pos += 1
-            if not group:
-                break
-            if stats is not None:
-                stats.exact_refinements += len(group)
-            g_values, g_exact = refiner.exact_batch(group, dk=dk)
-            for gi, i in enumerate(group):
-                value = float(g_values[gi])
-                if g_exact[gi]:
-                    values[i] = value
-                    exact[i] = True
-                    probe.offer(value, tids[i])
-                elif value > values[i]:
-                    # Early-abandoned: keep the tighter lower bound.
-                    # It is >= the stage's dk, so if the final replay
-                    # threshold is looser the replay recomputes.
-                    values[i] = value
-            stage = min(stage * 2, _DP_BATCH_MAX)
-    else:
-        for i in order:
-            dk = probe.dk
+                continue
             if bounds[i] >= dk:
-                # A skip leaves the probe untouched, so every remaining
-                # (larger) bound fails too; their values[] entries stay
-                # at the (inexact) lower bounds.
+                # Bounds are processed ascending, so every remaining
+                # bound fails too.
+                pos = count
                 break
-            # bounds[i] < dk, so exact_or_bound ran the full
-            # computation: the value is the exact distance even when it
-            # lands >= dk.
-            if stats is not None:
-                stats.exact_refinements += 1
-            value = refiner.exact_or_bound(i, dk)
-            values[i] = value
-            exact[i] = True
-            probe.offer(value, tids[i])
+            group.append(i)
+            pos += 1
+        if not group:
+            break
+        if stats is not None:
+            stats.exact_refinements += len(group)
+        g_values, g_exact = refiner.exact_batch(group, dk=dk)
+        for gi, i in enumerate(group):
+            value = float(g_values[gi])
+            if g_exact[gi]:
+                values[i] = value
+                exact[i] = True
+                probe.offer(value, tids[i])
+            elif value > values[i]:
+                # Early-abandoned: keep the tighter lower bound.  It is
+                # >= the stage's dk, so if the final replay threshold
+                # is looser the replay recomputes.
+                values[i] = value
+        stage = min(stage * 2, _DP_BATCH_MAX)
 
     for i in range(count):
         value = float(values[i])
         if not exact[i] and value < heap.dk:
+            # Still acceptable under the replay threshold: what the
+            # sequential loop would have computed in full.
             if stats is not None:
                 stats.exact_refinements += 1
-            value = refiner.exact_or_bound(i, heap.dk)
+            value = float(refiner.exact_batch([i])[0][0])
         heap.offer(value, tids[i])
 
 
@@ -1523,47 +1464,39 @@ def refine_range(measure: Measure, query: np.ndarray, tids: list[int],
     if not tids:
         return matches
     cutoff = float(np.nextafter(radius, np.inf))
-    if len(tids) < _MIN_BATCH.get(measure.name, _MIN_BATCH_DEFAULT):
-        for tid in tids:
-            if stats is not None:
-                stats.exact_refinements += 1
-            dist = distance_with_threshold(measure, query,
-                                           store.points_of(tid), cutoff)
-            if dist <= radius:
-                matches.append((dist, tid))
-        return matches
     refiner = BatchRefiner(measure, query, store, tids, dk=cutoff,
                            kernels=kernels)
     if refiner.is_exact:
+        if stats is not None:
+            stats.exact_refinements += len(tids)
         for tid, dist in zip(tids, refiner.bounds.tolist()):
             if dist <= radius:
                 matches.append((dist, tid))
         return matches
-    survivors = [i for i in range(len(tids))
-                 if refiner.bounds[i] < cutoff]
-    if refiner.supports_batch_dp:
+    survivors = np.flatnonzero(refiner.bounds < cutoff).tolist()
+    values = refiner.bounds.copy()
+    pending = survivors
+    if refiner.exact_mask is not None:      # ERP keeps no banded screen
         known = refiner.exact_mask
-        if known is None:           # ERP keeps no banded screen
-            known = np.zeros(len(tids), dtype=bool)
+        values[known] = refiner.uppers[known]
         pending = [i for i in survivors if not known[i]]
-        distances = dict(
-            (i, float(refiner.uppers[i]))
-            for i in survivors if known[i])
-        if stats is not None:
-            stats.exact_refinements += len(survivors)
-        for lo in range(0, len(pending), _DP_BATCH_MAX):
-            group = pending[lo:lo + _DP_BATCH_MAX]
-            g_values, _ = refiner.exact_batch(group, dk=cutoff)
-            for gi, i in enumerate(group):
-                distances[i] = float(g_values[gi])
-        for i in survivors:
-            if distances[i] <= radius:
-                matches.append((distances[i], tids[i]))
-        return matches
-    for i in survivors:
-        if stats is not None:
-            stats.exact_refinements += 1
-        dist = refiner.exact_or_bound(i, cutoff)
-        if dist <= radius:
-            matches.append((dist, tids[i]))
-    return matches
+    if stats is not None:
+        stats.exact_refinements += len(survivors)
+    for lo in range(0, len(pending), _DP_BATCH_MAX):
+        group = pending[lo:lo + _DP_BATCH_MAX]
+        values[group] = refiner.exact_batch(group, dk=cutoff)[0]
+    return [(float(values[i]), tids[i]) for i in survivors
+            if values[i] <= radius]
+
+
+def exact_distances(measure: Measure, query: np.ndarray, store,
+                    tids: list[int], kernels: str | None = None,
+                    ) -> np.ndarray:
+    """``measure.distance(query, t)`` for every ``t`` of ``tids`` in
+    ``store``, bit for bit, from one gathered tensor and one kernel
+    call instead of one Python DP per trajectory (the query-to-pivot
+    distances of every search)."""
+    refiner = BatchRefiner(measure, query, store, tids, kernels=kernels)
+    if refiner.is_exact:
+        return refiner.bounds
+    return refiner.exact_batch(list(range(len(tids))))[0]

@@ -13,7 +13,9 @@ During top-k refinement only distances below the current k-th best
   row minima (and of column minima) of the pairwise-distance matrix
   lower-bounds the sum of path costs;
 * ERP — dominates ``|sum |a_i - g|| - sum |b_j - g|||`` (gap-cost mass
-  difference, from the original ERP paper), an O(L) prefilter;
+  difference, from the original ERP paper), an O(L) prefilter (like
+  DTW's, a float sum in another order than the DP's: both give up
+  :func:`~repro.distances.base.rounding_slack`);
 * EDR — at least the length difference ``|m - n|``;
 * LCSS — no useful cheap bound; computed exactly.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Measure
+from .base import Measure, rounding_slack
 from .dtw import dtw_distance
 from .erp import erp_distance
 from .frechet import frechet_distance
@@ -61,7 +63,8 @@ def distance_with_threshold(measure: Measure, a: np.ndarray, b: np.ndarray,
         return frechet_distance(a, b, dm=dm)
     if name == "dtw":
         dm = point_distance_matrix(a, b)
-        lower = max(float(dm.min(axis=1).sum()), float(dm.min(axis=0).sum()))
+        lower = (max(float(dm.min(axis=1).sum()), float(dm.min(axis=0).sum()))
+                 - rounding_slack(len(a) + len(b), a, b))
         if lower >= threshold:
             return lower
         return dtw_distance(a, b, dm=dm)
@@ -69,7 +72,8 @@ def distance_with_threshold(measure: Measure, a: np.ndarray, b: np.ndarray,
         gap = np.asarray(measure.params.get("gap", (0.0, 0.0)))
         mass_a = float(np.hypot(a[:, 0] - gap[0], a[:, 1] - gap[1]).sum())
         mass_b = float(np.hypot(b[:, 0] - gap[0], b[:, 1] - gap[1]).sum())
-        lower = abs(mass_a - mass_b)
+        lower = (abs(mass_a - mass_b)
+                 - rounding_slack(len(a) + len(b), a, b, gap[np.newaxis]))
         if lower >= threshold:
             return lower
         return erp_distance(a, b, gap=tuple(gap))

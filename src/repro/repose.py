@@ -41,7 +41,7 @@ from .cluster.scheduler import (
     simulate_schedule_waves,
 )
 from .core.grid import Grid
-from .core.pivots import select_pivots
+from .core.pivots import query_pivot_distances, select_pivots
 from .core.rptrie import RPTrie
 from .core.search import (
     PartitionProbe,
@@ -397,12 +397,12 @@ class RPTrieLocalIndex:
     def top_k_multi(self, queries: list[Trajectory], k: int,
                     kwargs_list: list[dict],
                     share_groups: list | None = None) -> list[TopKResult]:
-        """Local top-k for a whole query group, sharing leaf gathers.
+        """Local top-k for a whole query group, sharing gathers.
 
         The wave loop's entry point
         (:func:`repro.core.search.local_search_multi`): one call runs
-        every query of a partition-affine group, building each touched
-        leaf's padded candidate tensor once for the group.  Per-query
+        every query of a partition-affine group against one shared
+        gather memo.  Per-query
         ``kwargs_list`` entries carry the same keys :meth:`top_k`
         accepts (``dqp``, ``dk``; anything else is a ``TypeError``, as
         it would be there); ``share_groups`` forwards the batch
@@ -449,7 +449,6 @@ class RPTrieLocalIndex:
         return local_range_search(
             self._trie, query, radius, dqp=dqp,
             use_pivots=options.get("use_pivots", True),
-            batch_refine=options.get("batch_refine", True),
             kernels=options.get("kernels"))
 
     def memory_bytes(self) -> int:
@@ -1088,6 +1087,7 @@ class Repose(DistributedTopK):
         num_pivots = kwargs.pop("num_pivots", 5)
         succinct = kwargs.pop("succinct", False)
         search_options = kwargs.pop("search_options", None)
+        self._kernels = (search_options or {}).get("kernels")
 
         # functools.partial over a module-level function (not a
         # closure) keeps the factory picklable for the process
@@ -1117,8 +1117,8 @@ class Repose(DistributedTopK):
         is respected without recomputation."""
         if (self.pivots and self.measure.is_metric
                 and not (provided and "dqp" in provided)):
-            return {"dqp": np.array(
-                [self.measure.distance(query, p) for p in self.pivots])}
+            return {"dqp": query_pivot_distances(
+                self, self.measure, query, self._kernels)}
         return {}
 
     def _query_distance_fn(self) -> Callable | None:
@@ -1202,16 +1202,8 @@ class Repose(DistributedTopK):
             instead of raising when a partition exhausts every retry.
         search_options:
             Per-partition search keyword arguments, forwarded to
-            :func:`~repro.core.search.local_search`.  The most useful
-            key is ``batch_refine`` (default True): refine leaf
-            candidates through the vectorized batch engine
-            (:mod:`repro.distances.batch` — batched screens, banded
-            upper-bound DPs and batched exact DPs) instead of one
-            trajectory at a time.  Both settings return bit-identical
-            results; ``batch_refine=False`` exists for the exactness
-            property tests and like-for-like benchmarks.  The ablation
-            switches ``use_pivots``/``use_lbt``/``use_lbo`` are also
-            accepted.
+            :func:`~repro.core.search.local_search`: the ablation
+            switches ``use_pivots``/``use_lbt``/``use_lbo``.
         kernels:
             DP kernel backend for the batch refinement engine
             (:mod:`repro.distances.kernels`): ``"numpy"`` (the
@@ -1254,10 +1246,8 @@ class Repose(DistributedTopK):
         # Resolve the backend batch refinement will actually run with
         # (fails fast on an unavailable explicit request) so the
         # "auto" engine's cost model keys its rates by it.
-        kernels_hint = None
-        if (search_options or {}).get("batch_refine", True):
-            kernels_hint = resolve_backend(
-                (search_options or {}).get("kernels"))
+        kernels_hint = resolve_backend(
+            (search_options or {}).get("kernels"))
 
         engine_obj = cls(dataset, measure_obj, grid,
                          pivots=pivots, optimized=optimized,

@@ -17,6 +17,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracle import random_walks
 from repro.core.grid import Grid
 from repro.types import BoundingBox, Trajectory, TrajectoryDataset
 
@@ -83,16 +84,7 @@ def random_walk_trajectories(count: int, seed: int = 0,
                              min_len: int = 5, max_len: int = 25,
                              span: float = 8.0) -> list[Trajectory]:
     """Deterministic random-walk trajectories inside [0, span]^2."""
-    rng = np.random.default_rng(seed)
-    trajectories = []
-    for i in range(count):
-        n = int(rng.integers(min_len, max_len))
-        start = rng.uniform(0.1 * span, 0.9 * span, 2)
-        steps = rng.normal(0, 0.04 * span, (n - 1, 2))
-        points = np.vstack([start, start + np.cumsum(steps, axis=0)])
-        np.clip(points, 0.001, span - 0.001, out=points)
-        trajectories.append(Trajectory(points, traj_id=i))
-    return trajectories
+    return random_walks(count, seed, min_len, max_len, span)
 
 
 @pytest.fixture

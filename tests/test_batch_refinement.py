@@ -1,10 +1,11 @@
 """Exactness of the vectorized batch refinement engine.
 
-The batch path must return *bit-identical* results to the seed
-per-trajectory early-abandoning loop (kept available behind
-``batch_refine=False``) for every measure, including how equal
-distances at the k-th boundary tie-break, on ragged and degenerate
-inputs.
+Searches that refine through the batch engine must return what a
+per-pair linear scan returns (``tests/oracle.py``: bit-equal distances,
+and the same items up to which of several candidates tied at the k-th
+distance is kept) for every measure, on ragged and degenerate inputs;
+``refine_top_k`` itself must leave the heap *bit-identical* to the
+per-trajectory early-abandoning loop, tie-breaks included.
 """
 
 from __future__ import annotations
@@ -28,26 +29,14 @@ from repro.distances.batch import (
 from repro.distances.threshold import distance_with_threshold
 from repro.types import BoundingBox, Trajectory
 
+from oracle import assert_same_up_to_ties, linear_scan, random_walks
+
 MEASURES = ["hausdorff", "frechet", "dtw", "erp", "edr", "lcss"]
-
-
-def _random_walks(count: int, seed: int, min_len: int, max_len: int,
-                  span: float = 8.0) -> list[Trajectory]:
-    rng = np.random.default_rng(seed)
-    trajectories = []
-    for i in range(count):
-        n = int(rng.integers(min_len, max_len))
-        start = rng.uniform(0.1 * span, 0.9 * span, 2)
-        steps = rng.normal(0, 0.04 * span, (n - 1, 2))
-        points = np.vstack([start, start + np.cumsum(steps, axis=0)])
-        np.clip(points, 0.001, span - 0.001, out=points)
-        trajectories.append(Trajectory(points, traj_id=i))
-    return trajectories
 
 
 def degenerate_trajectories() -> list[Trajectory]:
     """Length-1, duplicate-point, duplicate-trajectory and ragged data."""
-    trajs = _random_walks(24, seed=11, min_len=2, max_len=40)
+    trajs = random_walks(24, seed=11, min_len=2, max_len=40)
     extra = [
         Trajectory([(1.0, 1.0)], traj_id=100),                  # single point
         Trajectory([(2.0, 2.0)], traj_id=101),                  # single point
@@ -71,46 +60,30 @@ def ragged_grid() -> Grid:
     return Grid.fit(BoundingBox(0.0, 0.0, 8.0, 8.0), delta=0.5)
 
 
-def assert_same_traversal(batch, legacy):
-    """Same trie traversal and candidate flow for both refinement paths.
-
-    ``exact_refinements`` is the one counter allowed to differ: the
-    batch engine exists to perform *fewer* exact evaluations than the
-    per-trajectory loop (which pays one thresholded full computation
-    per candidate), so it is compared by inequality.
-    """
-    assert batch.stats.nodes_visited == legacy.stats.nodes_visited
-    assert batch.stats.nodes_pruned == legacy.stats.nodes_pruned
-    assert batch.stats.leaf_refinements == legacy.stats.leaf_refinements
-    assert (batch.stats.distance_computations
-            == legacy.stats.distance_computations)
-    assert (batch.stats.exact_refinements
-            <= legacy.stats.exact_refinements)
-
-
 class TestSearchBitIdentical:
     @pytest.mark.parametrize("name", MEASURES)
     def test_top_k_matches_legacy_path(self, ragged, ragged_grid, name):
         trie = RPTrie(ragged_grid, name, pivot_groups=3).build(ragged)
         for qi in (0, 5, 100, 102, 107):
             query = trie.trajectory(qi)
-            batch = local_search(trie, query, 8)
-            legacy = local_search(trie, query, 8, batch_refine=False)
-            assert batch.items == legacy.items
-            assert_same_traversal(batch, legacy)
+            scan = linear_scan(trie.measure, query, ragged)
+            result = local_search(trie, query, 8)
+            assert_same_up_to_ties(result.items, scan[:8], scan)
+            # Flushes, not leaves: 4 + 8 + ... pooled candidates each.
+            assert (result.stats.leaf_refinements
+                    < result.stats.distance_computations / 3)
 
     @pytest.mark.parametrize("name", MEASURES)
     def test_range_matches_legacy_path(self, ragged, ragged_grid, name):
         trie = RPTrie(ragged_grid, name, pivot_groups=3).build(ragged)
         for qi in (3, 101, 104):
             query = trie.trajectory(qi)
-            probe = local_search(trie, query, 6, batch_refine=False)
-            radius = probe.items[-1][0]
-            batch = local_range_search(trie, query, radius)
-            legacy = local_range_search(trie, query, radius,
-                                        batch_refine=False)
-            assert batch.items == legacy.items
-            assert_same_traversal(batch, legacy)
+            scan = linear_scan(trie.measure, query, ragged)
+            radius = scan[5][0]
+            result = local_range_search(trie, query, radius)
+            assert result.items == [item for item in scan
+                                    if item[0] <= radius]
+            assert result.stats.leaf_refinements == 1
 
     @pytest.mark.parametrize("name", ["hausdorff", "dtw"])
     def test_succinct_trie_matches_legacy_path(self, ragged, ragged_grid,
@@ -118,20 +91,22 @@ class TestSearchBitIdentical:
         trie = RPTrie(ragged_grid, name, pivot_groups=3).build(ragged)
         frozen = SuccinctRPTrie(trie)
         query = ragged[7]
-        batch = local_search(frozen, query, 10)
-        legacy = local_search(frozen, query, 10, batch_refine=False)
-        assert batch.items == legacy.items
-        assert_same_traversal(batch, legacy)
+        scan = linear_scan(trie.measure, query, ragged)
+        assert_same_up_to_ties(local_search(frozen, query, 10).items,
+                               scan[:10], scan)
+        assert (local_search(frozen, query, 10).items
+                == local_search(trie, query, 10).items)
 
     def test_tie_breaking_matches_with_duplicate_trajectories(
             self, ragged, ragged_grid):
-        # k smaller than the number of equidistant twins: the winners
-        # must be the same tids the sequential loop keeps.
+        # k smaller than the number of equidistant twins: two distinct
+        # twins at the tied distance, whichever the traversal met first.
         trie = RPTrie(ragged_grid, "hausdorff").build(ragged)
         query = Trajectory([(3.0, 3.0), (3.5, 3.0)], traj_id=999)
-        batch = local_search(trie, query, 2)
-        legacy = local_search(trie, query, 2, batch_refine=False)
-        assert batch.items == legacy.items
+        scan = linear_scan(trie.measure, query, ragged)
+        assert scan[1][0] == scan[2][0]
+        assert_same_up_to_ties(local_search(trie, query, 2).items,
+                               scan[:2], scan)
 
 
 class TestRefinerUnit:

@@ -368,7 +368,12 @@ class TestGracefulDegradation:
         engine = _tiny_engine(
             fault_policy=FaultPolicy(max_retries=0, backoff_seconds=0.001))
         engine._parts[0].index = _AlwaysBroken(engine._parts[0].index)
-        query = engine.dataset.trajectories[1]
+        # One of the lost partition's own trajectories: its probe bound
+        # is 0, so no broadcast dk lets the planner skip the partition
+        # (first-level probe bounds include LBt where a run ends in a
+        # lone leaf, and can rule a partition out for a query from
+        # elsewhere).
+        query = engine._parts[0].trajectories[0]
         outcome = engine.top_k(query, 5)
         assert not outcome.complete
         assert outcome.failed_partitions == [0]

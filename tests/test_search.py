@@ -18,6 +18,8 @@ from repro.core.succinct import SuccinctRPTrie
 from repro.distances import get_measure
 from repro.types import Trajectory
 
+from oracle import assert_same_up_to_ties
+
 MEASURES = {
     "hausdorff": get_measure("hausdorff"),
     "frechet": get_measure("frechet"),
@@ -176,36 +178,68 @@ class TestRunDiscovery:
         trie = RPTrie(paper_grid, "dtw").build(run_shapes.build)
         if frozen:
             trie = SuccinctRPTrie(trie)
-        # A 12-cell unary tail is one run ending at its `$` parent.
-        last, cells = _follow_run(_child(trie.root, 0, 0))
+        # A 12-cell unary tail is one run ending at its `$` parent —
+        # whose only child is that leaf, so the run hands it on.
+        last, cells, leaf = _follow_run(_child(trie.root, 0, 0))
         assert len(cells) == 12 and cells[-1] == z_encode(4, 1)
         assert [c.is_leaf for c in last.iter_children()] == [True]
-        # A node with one internal child *and* a `$` child ends the run.
-        last, cells = _follow_run(_child(trie.root, 0, 7))
+        assert leaf.is_leaf and list(leaf.tids) == [0]
+        # A node with one internal child *and* a `$` child ends the run
+        # and keeps its leaf to itself.
+        last, cells, leaf = _follow_run(_child(trie.root, 0, 7))
         assert cells == [z_encode(0, 7), z_encode(1, 7), z_encode(2, 7)]
         assert sorted(c.is_leaf for c in last.iter_children()) == \
             [False, True]
+        assert leaf is None
         # A fork ends the run at the forking node.
-        last, cells = _follow_run(_child(trie.root, 3, 3))
+        last, cells, leaf = _follow_run(_child(trie.root, 3, 3))
         assert cells[-1] == z_encode(5, 3)
-        assert len(list(last.iter_children())) == 2
+        assert len(list(last.iter_children())) == 2 and leaf is None
 
     def test_insert_splits_a_run(self, paper_grid, run_shapes):
         trie = RPTrie(paper_grid, "dtw").build(run_shapes.build)
         for traj in run_shapes.inserts:
             trie.insert(traj)
         for first, length in (((0, 7), 2), ((0, 0), 3)):
-            last, cells = _follow_run(_child(trie.root, *first))
-            assert len(cells) == length
+            last, cells, leaf = _follow_run(_child(trie.root, *first))
+            assert len(cells) == length and leaf is None
             assert len(list(last.iter_children())) == 2
         # Below the split the old tail is two runs now: up to the node
         # where an inserted path ends, then the rest.
         from repro.core.zorder import z_encode
         split = _follow_run(_child(trie.root, 0, 0))[0]
-        last, cells = _follow_run(_child(split, 3, 0))
+        last, cells, leaf = _follow_run(_child(split, 3, 0))
         assert cells[-1] == z_encode(7, 1) and len(cells) == 6
-        last, cells = _follow_run(_child(last, 6, 1))
-        assert len(cells) == 3
+        assert leaf is None
+        last, cells, leaf = _follow_run(_child(last, 6, 1))
+        assert len(cells) == 3 and leaf.is_leaf
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_a_lone_leaf_is_queued_with_its_run(self, paper_grid,
+                                                run_shapes, frozen):
+        """``_expand`` bounds a run's lone `$` leaf with the run (LBt on
+        the run-end state) and keeps the leaf — unless the extension
+        stopped early, in which case nothing is kept at all."""
+        from repro.core.search import _bound_computer, _expand
+        trie = RPTrie(paper_grid, "dtw").build(run_shapes.build)
+        if frozen:
+            trie = SuccinctRPTrie(trie)
+        query = run_shapes.path(run_shapes.cells[0], 900)
+        computer = _bound_computer(trie, query, None)
+        kept, pruned = _expand(computer, trie.root, computer.initial_state(),
+                               0, float("inf"), None)
+        tail = [entry for entry in kept
+                if entry[1].is_leaf and list(entry[1].tids) == [0]]
+        assert len(tail) == 1 and tail[0][3] == 12
+        bound, leaf, state, depth = tail[0]
+        assert bound == computer.leaf_bound(state, leaf.dmax, depth)
+        internal = [entry for entry in kept if not entry[1].is_leaf]
+        assert internal and len(kept) + pruned == len(
+            list(trie.root.iter_children()))
+        # With a cutoff every first-level run reaches, nothing survives.
+        kept, pruned = _expand(computer, trie.root, computer.initial_state(),
+                               0, 0.0, None)
+        assert kept == [] and pruned == len(list(trie.root.iter_children()))
 
 
 @pytest.mark.parametrize("name", list(MEASURES))
@@ -225,41 +259,27 @@ class TestRunTraversal:
                 shapes.path([(1, 6), (2, 6), (3, 6), (4, 6)], 902),
                 shapes.path([(6, 1)], 903)]
 
-    @staticmethod
-    def _assert_same(items, want, scan):
-        """Bit-equal to the scan's top-k — except for *which* of several
-        candidates tied at the last kept distance were kept (the edit
-        distances tie often; the heap keeps the first it meets)."""
-        assert [d for d, _ in items] == [d for d, _ in want]
-        if not want:
-            return
-        last = want[-1][0]
-        assert ([item for item in items if item[0] != last]
-                == [item for item in want if item[0] != last])
-        tied = {tid for d, tid in scan if d == last}
-        kept = [tid for d, tid in items if d == last]
-        assert set(kept) <= tied and len(set(kept)) == len(kept)
-
     def _check(self, trie, measure, trajectories, query, k):
         scan = sorted((measure.distance(query, t), t.traj_id)
                       for t in trajectories)
         want = scan[:k]
-        # Seeds sit a relative 1e-9 above a true distance: a seed *equal*
-        # to one is at the mercy of bounds that sum the same terms in
-        # another order (DTW row minima, a pivot bound on the query).
-        kth = want[-1][0] * (1 + 1e-9)
-        low = want[len(want) // 2][0] * (1 + 1e-9)
+        # Seeds *equal* true distances: every bound on the way (run-end
+        # LBo/LBt, the pivot bound, the refinement screens) must sit at
+        # or below the float distance it bounds, or the tied candidate
+        # is lost.
+        kth = want[-1][0]
+        low = want[len(want) // 2][0]
         for use_pivots in (True, False):
-            self._assert_same(
+            assert_same_up_to_ties(
                 local_search(trie, query, k, use_pivots=use_pivots).items,
                 want, scan)
             for dk in (kth, 2 * kth + 1):
-                self._assert_same(
+                assert_same_up_to_ties(
                     local_search(trie, query, k, dk=dk,
                                  use_pivots=use_pivots).items, want, scan)
             # A seed below the k-th distance only suppresses what lies
             # beyond it.
-            self._assert_same(
+            assert_same_up_to_ties(
                 local_search(trie, query, k, dk=low,
                              use_pivots=use_pivots).items,
                 [item for item in want if item[0] <= low], scan)
