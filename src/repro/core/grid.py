@@ -143,15 +143,18 @@ class Grid:
         return (np.array([self.origin_x, self.origin_y])
                 + self._cells_of(zs) * self.delta)
 
-    def own_cell_center_distances(self, points: np.ndarray) -> np.ndarray:
+    def own_cell_center_distances(self, points: np.ndarray,
+                                  zs: np.ndarray | None = None) -> np.ndarray:
         """Distance of each point to the center of *its own* cell.
 
         The maximum over a trajectory upper-bounds both the Hausdorff
         and the Frechet distance to its reference trajectory (aligning
         every point with its own cell center is a valid coupling), in
-        O(L) instead of the O(L^2) exact distance.
+        O(L) instead of the O(L^2) exact distance.  ``zs`` optionally
+        supplies ``z_values_of(points)`` when the caller already has it.
         """
-        centers = self.reference_points(self.z_values_of(points))
+        centers = self.reference_points(
+            self.z_values_of(points) if zs is None else zs)
         return np.hypot(points[:, 0] - centers[:, 0],
                         points[:, 1] - centers[:, 1])
 

@@ -69,13 +69,6 @@ class TrieNode:
         """
         return iter(self.children.values())
 
-    def get_or_create_child(self, z: int) -> "TrieNode":
-        node = self.children.get(z)
-        if node is None:
-            node = TrieNode(z)
-            self.children[z] = node
-        return node
-
     def update_hr(self, pivot_distances: np.ndarray) -> None:
         """Fold one trajectory's pivot-distance vector into ``HR``."""
         if self.hr_min is None:

@@ -74,42 +74,29 @@ class ReferenceEncoder:
 
     def encode(self, traj: Trajectory) -> ReferenceTrajectory:
         """Reference trajectory of ``traj``."""
-        if traj.traj_id is None:
+        return self.encode_many([traj])[0]
+
+    def encode_many(self, trajs, zs: np.ndarray | None = None,
+                    ) -> list[ReferenceTrajectory]:
+        """Reference trajectories of ``trajs`` from one z-value pass;
+        ``zs`` optionally supplies ``grid.z_values_of`` of their
+        concatenated points (the index build shares it with ``Dmax``)."""
+        trajs = list(trajs)
+        if any(t.traj_id is None for t in trajs):
             raise ValueError("trajectory must have an id before encoding")
-        zs = self.grid.z_values_of(traj.points)
-        if self.mode == "dedup":
-            z_values = self._dedup_all(zs)
-        elif self.mode == "collapse":
-            z_values = self._collapse_consecutive(zs)
-        else:
-            z_values = tuple(int(z) for z in zs)
-        return ReferenceTrajectory(traj_id=traj.traj_id, z_values=z_values)
-
-    def encode_many(self, trajs) -> list[ReferenceTrajectory]:
-        """Encode an iterable of trajectories."""
-        return [self.encode(t) for t in trajs]
-
-    @staticmethod
-    def _collapse_consecutive(zs: np.ndarray) -> tuple[int, ...]:
-        if len(zs) == 0:
-            return ()
-        keep = np.empty(len(zs), dtype=bool)
-        keep[0] = True
-        keep[1:] = zs[1:] != zs[:-1]
-        return tuple(int(z) for z in zs[keep])
-
-    @staticmethod
-    def _dedup_all(zs: np.ndarray) -> tuple[int, ...]:
-        """Drop duplicate z-values, keeping first-visit order.
-
-        First-visit order is only a default; the re-arrangement module
-        is free to re-order these (Hausdorff is order independent).
-        """
-        seen: set[int] = set()
-        ordered: list[int] = []
-        for z in zs:
-            zi = int(z)
-            if zi not in seen:
-                seen.add(zi)
-                ordered.append(zi)
-        return tuple(ordered)
+        if not trajs:
+            return []
+        if zs is None:
+            zs = self.grid.z_values_of(np.concatenate([t.points for t in trajs]))
+        ends = np.cumsum([len(t) for t in trajs])
+        if self.mode == "collapse":
+            keep = np.append(True, zs[1:] != zs[:-1])  # run starts
+            keep[ends[:-1]] = True  # a trajectory's first point is one
+            zs, ends = zs[keep], np.cumsum(keep)[ends - 1]
+        # "dedup" keeps first-visit order: only a default, the
+        # re-arrangement is free to re-order (Hausdorff ignores order).
+        dedup = self.mode == "dedup"
+        values, ends = zs.tolist(), ends.tolist()
+        return [ReferenceTrajectory(t.traj_id, tuple(
+                    dict.fromkeys(values[lo:hi]) if dedup else values[lo:hi]))
+                for t, lo, hi in zip(trajs, [0] + ends, ends)]

@@ -8,7 +8,8 @@ the *actual* trajectories in the subtree to pivot ``i``; this is the
 sound variant of the paper's Eq. 5 bound (see DESIGN.md section 2).
 
 Construction cost is dominated by pivot-to-trajectory distance
-computation, O(N * L^2 * Np), as the paper's cost analysis states.
+computation, O(N * L^2 * Np), as the paper's cost analysis states, so
+:meth:`RPTrie.build` takes it from one batched kernel call per pivot.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..distances.base import Measure, get_measure
+from ..distances.batch import exact_distances
 from ..exceptions import IndexNotBuiltError
 from ..types import Trajectory
 from .grid import Grid
 from .node import TERMINAL, TrieNode
-from .pivots import select_pivots
+from .pivots import query_pivot_distances, select_pivots
 from .rearrange import rearrange_dataset
 from .reference import ReferenceEncoder, ReferenceTrajectory, encoder_mode_for
 from .store import TrajectoryStore
@@ -88,14 +90,26 @@ class RPTrie:
     # -- construction -------------------------------------------------------
 
     def build(self, trajectories: list[Trajectory]) -> "RPTrie":
-        """Build the index over ``trajectories`` (idempotent: rebuilds)."""
+        """Build the index over ``trajectories`` (idempotent: rebuilds).
+
+        Only the insertion walk is per trajectory: references and
+        ``Dmax`` come from one z-value pass over the partition's point
+        column (:meth:`_encode`), the ``HR`` table from one batched
+        kernel call per pivot, the *pivot* as the query (as for
+        ``dqp``).  Hausdorff and Frechet only select among point
+        distances, so a row is ``[measure.distance(t, pivot) for pivot
+        in pivots]`` bit for bit.  ERP sums its costs and the transposed
+        DP associates the sum differently: its ``HR`` can differ in the
+        last bits, inside the ``rounding_slack`` the pivot bound
+        (:func:`repro.core.search._pivot_bound`) subtracts "however the
+        sum is associated".
+        """
         self.root = TrieNode(TERMINAL - 1)
         self._trajectories = {t.traj_id: t for t in trajectories}
-        self.attach_store(TrajectoryStore(self._trajectories.values()))
-
-        mode = encoder_mode_for(self.measure, optimized=self.optimized)
-        encoder = ReferenceEncoder(self.grid, mode=mode)
-        refs = encoder.encode_many(trajectories)
+        trajectories = list(self._trajectories.values())
+        self.attach_store(TrajectoryStore(trajectories))
+        _, offsets, points = self._store.columnar()
+        refs, dmax = self._encode(trajectories, points, offsets[:-1])
         if self.optimized:
             refs = rearrange_dataset(refs)
 
@@ -103,15 +117,19 @@ class RPTrie:
             self.pivots = select_pivots(
                 trajectories, self.measure, num_pivots=self.num_pivots,
                 num_groups=self.pivot_groups, rng=self._rng)
+        ids = self._store.ids()
+        hr = [None] * len(ids)
+        if self.pivots and ids:
+            hr = np.column_stack([
+                exact_distances(self.measure, pivot.points, self._store, ids)
+                for pivot in self.pivots])
 
-        use_dmax = self.measure.name in ("hausdorff", "frechet")
+        row_of = {tid: row for row, tid in enumerate(ids)}
+        self._node_count = 0
         for ref in refs:
-            traj = self._trajectories[ref.traj_id]
-            pivot_distances = self._pivot_distances(traj)
-            dmax_term = self._dmax_bound(traj) if use_dmax else 0.0
-            self._insert(ref, traj, pivot_distances, dmax_term)
-
-        self._node_count = self.root.count_nodes() - 1  # exclude root sentinel
+            row = row_of[ref.traj_id]
+            self._node_count += self._insert(ref, trajectories[row], hr[row],
+                                             float(dmax[row]))
         self._built = True
         return self
 
@@ -131,44 +149,51 @@ class RPTrie:
             raise ValueError(
                 f"trajectory must carry a fresh id, got {traj.traj_id!r}")
         self._trajectories[traj.traj_id] = traj
-        if self._store is not None:
-            self._store.append(traj)
+        self._store.append(traj)
+        (ref,), (dmax,) = self._encode([traj], traj.points, [0])
+        hr = (query_pivot_distances(self, self.measure, traj)
+              if self.pivots else None)
+        self._node_count += self._insert(ref, traj, hr, float(dmax))
+
+    def _encode(self, trajectories: list[Trajectory], points: np.ndarray,
+                starts) -> tuple[list[ReferenceTrajectory], np.ndarray]:
+        """Reference trajectories and ``Dmax`` terms from one z-value
+        pass over the trajectories' concatenated ``points`` (each begins
+        at its row of ``starts``).  ``Dmax`` bounds the distance to the
+        own reference trajectory by the max point-to-own-cell-center
+        distance (a valid Hausdorff/Frechet coupling), O(L)."""
+        zs = self.grid.z_values_of(points)
         mode = encoder_mode_for(self.measure, optimized=self.optimized)
-        ref = ReferenceEncoder(self.grid, mode=mode).encode(traj)
-        use_dmax = self.measure.name in ("hausdorff", "frechet")
-        dmax_term = self._dmax_bound(traj) if use_dmax else 0.0
-        before = self.root.count_nodes()
-        self._insert(ref, traj, self._pivot_distances(traj), dmax_term)
-        self._node_count += self.root.count_nodes() - before
-
-    def _dmax_bound(self, traj: Trajectory) -> float:
-        """Upper bound on the distance between a trajectory and its
-        reference trajectory: the max point-to-own-cell-center distance
-        (a valid Hausdorff/Frechet coupling), O(L) per trajectory."""
-        return float(self.grid.own_cell_center_distances(traj.points).max())
-
-    def _pivot_distances(self, traj: Trajectory) -> np.ndarray | None:
-        if not self.pivots:
-            return None
-        return np.array([self.measure.distance(traj, p) for p in self.pivots])
+        refs = ReferenceEncoder(self.grid, mode=mode).encode_many(
+            trajectories, zs)
+        dmax = np.zeros(len(trajectories))
+        if trajectories and self.measure.name in ("hausdorff", "frechet"):
+            dmax = np.maximum.reduceat(
+                self.grid.own_cell_center_distances(points, zs), starts)
+        return refs, dmax
 
     def _insert(self, ref: ReferenceTrajectory, traj: Trajectory,
-                pivot_distances: np.ndarray | None, dmax_term: float) -> None:
+                pivot_distances: np.ndarray | None, dmax_term: float) -> int:
+        """Insert one reference trajectory; returns how many nodes it made."""
         node = self.root
         path = [node]
-        for z in ref.z_values:
-            node = node.get_or_create_child(z)
+        created = 0
+        for z in (*ref.z_values, TERMINAL):
+            child = node.children.get(z)
+            if child is None:
+                child = node.children[z] = TrieNode(z)
+                created += 1
+            node = child
             path.append(node)
-        leaf = node.get_or_create_child(TERMINAL)
-        path.append(leaf)
 
-        leaf.tids.append(ref.traj_id)
-        leaf.dmax = max(leaf.dmax, dmax_term)
+        node.tids.append(ref.traj_id)
+        node.dmax = max(node.dmax, dmax_term)
         traj_len = len(traj)
         for visited in path:
             visited.max_traj_len = max(visited.max_traj_len, traj_len)
             if pivot_distances is not None:
                 visited.update_hr(pivot_distances)
+        return created
 
     # -- accessors ------------------------------------------------------------
 

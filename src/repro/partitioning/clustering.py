@@ -10,14 +10,24 @@ almost every trajectory is its own cluster, precision is decreased one
 step at a time; at each step clusters whose coarsened signatures collide
 merge.  The stop condition is the first precision at or below the
 target cluster count (or precision 0).
+
+Every point is hashed once, at the finest precision: a geohash is a
+z-order prefix, so a coarser precision's codes are the fine codes
+shifted right (exact: the scale is a power of two).  One mask per
+precision marks the run starts of every trajectory's code sequence and
+trajectories group by those bytes; tuple signatures (the per-trajectory
+:func:`~repro.partitioning.geohash.trajectory_signature`) are only
+built at the chosen precision, to order the clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..types import Trajectory, TrajectoryDataset
-from .geohash import trajectory_signature
+import numpy as np
+
+from ..types import TrajectoryDataset
+from .geohash import _vector_geohash
 
 __all__ = ["GeohashClustering", "ClusteringResult"]
 
@@ -55,31 +65,28 @@ class GeohashClustering:
         trajectories = dataset.trajectories
         if not trajectories:
             return ClusteringResult(labels=[], num_clusters=0, precision=0)
-        box = dataset.bounding_box()
-
-        chosen_precision = 0
-        chosen_groups = self._group(trajectories, box, 0)
+        starts = np.cumsum([0] + [len(t) for t in trajectories])[:-1]
+        fine = _vector_geohash(np.concatenate([t.points for t in trajectories]),
+                               dataset.bounding_box(), self.max_precision)
         for precision in range(self.max_precision, -1, -1):
-            groups = self._group(trajectories, box, precision)
-            if len(groups) <= self.target_clusters or precision == 0:
-                chosen_precision = precision
-                chosen_groups = groups
+            codes = fine >> (2 * (self.max_precision - precision))
+            keep = np.append(True, codes[1:] != codes[:-1])
+            keep[starts] = True
+            kept = codes[keep]
+            bounds = np.append(np.cumsum(keep)[starts] - 1, len(kept)).tolist()
+            groups: dict[bytes, list[int]] = {}
+            for index in range(len(trajectories)):
+                segment = kept[bounds[index]:bounds[index + 1]]
+                groups.setdefault(segment.tobytes(), []).append(index)
+            if len(groups) <= self.target_clusters:
                 break
 
         labels = [0] * len(trajectories)
-        # Deterministic dense ids: clusters ordered by their signature.
-        for cluster_id, signature in enumerate(sorted(chosen_groups)):
-            for index in chosen_groups[signature]:
+        # Deterministic dense ids: clusters ordered by their signature
+        # (as int sequences — the byte keys would sort little-endian).
+        for cluster_id, key in enumerate(sorted(
+                groups, key=lambda k: np.frombuffer(k, kept.dtype).tolist())):
+            for index in groups[key]:
                 labels[index] = cluster_id
-        return ClusteringResult(labels=labels,
-                                num_clusters=len(chosen_groups),
-                                precision=chosen_precision)
-
-    @staticmethod
-    def _group(trajectories: list[Trajectory], box,
-               precision: int) -> dict[tuple[int, ...], list[int]]:
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for index, traj in enumerate(trajectories):
-            signature = trajectory_signature(traj, box, precision)
-            groups.setdefault(signature, []).append(index)
-        return groups
+        return ClusteringResult(labels=labels, num_clusters=len(groups),
+                                precision=precision)

@@ -59,8 +59,6 @@ def trajectory_signature(traj: Trajectory, box: BoundingBox,
     Two trajectories with equal signatures traverse the same cell
     sequence at this granularity and are treated as one cluster.
     """
-    if precision == 0:
-        return (0,)
     codes = _vector_geohash(traj.points, box, precision)
     keep = np.empty(len(codes), dtype=bool)
     keep[0] = True

@@ -80,26 +80,16 @@ class TestHausdorff:
                     <= hausdorff_distance(x, y) + hausdorff_distance(y, z) + 1e-9)
 
 
-def _frechet_naive(a, b, i=None, j=None, memo=None):
-    """Direct recursive Eq. 6 for cross-checking the DP."""
-    if memo is None:
-        memo = {}
-        i, j = len(a) - 1, len(b) - 1
-    if (i, j) in memo:
-        return memo[(i, j)]
-    d = float(np.hypot(*(a[i] - b[j])))
-    if i == 0 and j == 0:
-        value = d
-    elif i == 0:
-        value = max(d, _frechet_naive(a, b, 0, j - 1, memo))
-    elif j == 0:
-        value = max(d, _frechet_naive(a, b, i - 1, 0, memo))
-    else:
-        value = max(d, min(_frechet_naive(a, b, i - 1, j - 1, memo),
-                           _frechet_naive(a, b, i - 1, j, memo),
-                           _frechet_naive(a, b, i, j - 1, memo)))
-    memo[(i, j)] = value
-    return value
+def _frechet_naive(a, b):
+    """Eq. 6 as a plain double loop, cell by cell."""
+    dm = point_distance_matrix(a, b)
+    f = np.empty_like(dm)
+    for i in range(dm.shape[0]):
+        for j in range(dm.shape[1]):
+            before = [f[p, q] for p, q in ((i - 1, j - 1), (i - 1, j),
+                                           (i, j - 1)) if p >= 0 and q >= 0]
+            f[i, j] = max(dm[i, j], min(before)) if before else dm[i, j]
+    return float(f[-1, -1])
 
 
 class TestFrechet:
@@ -107,11 +97,20 @@ class TestFrechet:
         assert frechet_distance(A, B) == pytest.approx(1.0)
 
     def test_against_naive_recursion(self):
+        """Bit for bit (the DP only selects among the point distances),
+        on every shape the diagonal sweep has an edge for: 1 x n, m x 1,
+        wide, tall, square, and duplicated points (tied cells)."""
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            x = rng.normal(size=(rng.integers(1, 7), 2))
-            y = rng.normal(size=(rng.integers(1, 7), 2))
-            assert frechet_distance(x, y) == pytest.approx(_frechet_naive(x, y))
+        shapes = [(1, 1), (1, 9), (9, 1), (2, 2), (2, 17), (17, 2), (8, 8)]
+        shapes += [tuple(rng.integers(1, 25, 2)) for _ in range(40)]
+        for case, (m, n) in enumerate(shapes):
+            x = rng.normal(size=(m, 2))
+            y = rng.normal(size=(n, 2))
+            if case % 3 == 0:  # repeated and shared points
+                x[rng.integers(m, size=m // 2)] = x[0]
+                y[rng.integers(n, size=n // 2)] = x[rng.integers(m)]
+            assert frechet_distance(x, y) == _frechet_naive(x, y), (m, n)
+            assert frechet_distance(y, x) == _frechet_naive(x, y), (n, m)
 
     def test_at_least_hausdorff(self):
         rng = np.random.default_rng(3)

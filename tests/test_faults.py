@@ -165,7 +165,7 @@ class TestSupervisedRetries:
                              jitter_fraction=0.0, task_timeout=0.15)
         engine = ExecutionEngine("thread", max_workers=4,
                                  fault_policy=policy)
-        outcomes, _ = engine.run([_SlowFirst("late", slow=10.0)])
+        outcomes, _ = engine.run([_SlowFirst("late", slow=1.0)])
         assert outcomes[0].ok and outcomes[0].result == "late"
         assert outcomes[0].timeouts >= 1
         assert outcomes[0].retries >= 1
@@ -208,7 +208,7 @@ class TestSupervisedRetries:
                              speculate=True, speculation_seconds=0.05)
         engine = ExecutionEngine("thread", max_workers=4,
                                  fault_policy=policy)
-        outcomes, _ = engine.run([_SlowFirst("spec", slow=5.0)])
+        outcomes, _ = engine.run([_SlowFirst("spec", slow=0.5)])
         assert outcomes[0].ok and outcomes[0].result == "spec"
         assert outcomes[0].speculative == 1
         assert outcomes[0].speculative_win

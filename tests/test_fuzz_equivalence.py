@@ -27,7 +27,8 @@ epoch — and every served answer must still be bit-identical to
 ``plan="single"`` at the matching index state.
 
 ``REPRO_FUZZ_CASES``
-    Cases per measure (default 36 — 216 total across 6 measures).
+    Cases per measure (default 12 — 72 total across 6 measures; CI's
+    "elevated" chaos leg runs 36).
     The served-path harness runs ``max(2, cases // 6)`` cases per
     measure (each case covers a whole request stream twice).
 ``REPRO_FUZZ_SEED``
@@ -50,7 +51,7 @@ from repro.repose import Repose
 MEASURES = ["hausdorff", "frechet", "dtw", "erp", "edr", "lcss"]
 
 BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260729"))
-CASES_PER_MEASURE = int(os.environ.get("REPRO_FUZZ_CASES", "36"))
+CASES_PER_MEASURE = int(os.environ.get("REPRO_FUZZ_CASES", "12"))
 
 SPAN = 10.0
 NUM_PARTITIONS = 6

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datasets import generate_dataset
 from repro.exceptions import PartitioningError
 from repro.partitioning.clustering import GeohashClustering
 from repro.partitioning.geohash import (
@@ -73,7 +74,58 @@ def _skewed_dataset(count=60, seed=0) -> TrajectoryDataset:
     return ds
 
 
+def _signature_loop(dataset, target, max_precision=12):
+    """The clustering as its docstring states it, one
+    :func:`trajectory_signature` per trajectory and precision."""
+    box = dataset.bounding_box()
+    for precision in range(max_precision, -1, -1):
+        groups = {}
+        for index, traj in enumerate(dataset.trajectories):
+            groups.setdefault(trajectory_signature(traj, box, precision),
+                              []).append(index)
+        if len(groups) <= target:
+            break
+    labels = [0] * len(dataset)
+    for cluster_id, signature in enumerate(sorted(groups)):
+        for index in groups[signature]:
+            labels[index] = cluster_id
+    return labels, len(groups), precision
+
+
+def _degenerate(points_list) -> TrajectoryDataset:
+    return TrajectoryDataset(trajectories=[
+        Trajectory(points, traj_id=i) for i, points in enumerate(points_list)])
+
+
+_WALK = [(1.0, 1.0), (1.5, 2.5), (6.0, 2.0)]
+_CLUSTER_CASES = {
+    "t-drive": (lambda: generate_dataset("t-drive", scale=0.0002, seed=3),
+                (1, 4, 30)),
+    "sf": (lambda: generate_dataset("sf", scale=0.0002, seed=4), (1, 9, 30)),
+    "skewed": (lambda: _skewed_dataset(), (1, 2, 7, 1000)),
+    "single trajectory": (lambda: _degenerate([_WALK]), (1, 3)),
+    "single point": (lambda: _degenerate([[(2.0, 3.0)]]), (1,)),
+    "zero-width box": (lambda: _degenerate(
+        [[(4.0, y), (4.0, y + 1.0)] for y in range(6)]), (1, 2, 6)),
+    "all identical": (lambda: _degenerate([_WALK] * 5), (1, 5)),
+}
+
+
 class TestClustering:
+    @pytest.mark.parametrize("case", list(_CLUSTER_CASES))
+    def test_one_pass_equals_the_signature_loop(self, case):
+        """One geohash pass coarsened by shifts, grouped by bytes: the
+        labels, cluster count and stop precision of the loop over
+        :func:`trajectory_signature`."""
+        make, targets = _CLUSTER_CASES[case]
+        dataset = make()
+        for target in targets:
+            for max_precision in (12, 5, 0):
+                result = GeohashClustering(
+                    target, max_precision=max_precision).cluster(dataset)
+                assert ((result.labels, result.num_clusters, result.precision)
+                        == _signature_loop(dataset, target, max_precision))
+
     def test_target_cluster_count_reached(self):
         ds = _skewed_dataset()
         result = GeohashClustering(target_clusters=8).cluster(ds)

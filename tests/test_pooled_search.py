@@ -13,7 +13,9 @@ candidates tied at the k-th distance is kept.
 
 Nothing below needs the compiled tier: with no C compiler the cnative
 parametrizations drop out and the numpy ones run (CI's
-``numpy-fallback`` leg).
+``numpy-fallback`` leg).  That leg is also where the numpy cells of the
+big ``test_top_k`` grid run in full: beside a compiled tier they repeat
+the first query's slice only (see :data:`RESOLVED`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.core.succinct import SuccinctRPTrie
 from repro.distances import (dtw_distance, edr_distance, erp_distance,
                              frechet_distance, get_measure, lcss_distance)
 from repro.distances.batch import exact_distances, refine_top_k
-from repro.distances.kernels import available_backends
+from repro.distances.kernels import available_backends, resolve_backend
 from repro.types import BoundingBox, Trajectory, TrajectoryDataset
 
 MEASURES = {
@@ -49,6 +51,13 @@ MEASURES = {
     "lcss": get_measure("lcss", eps=0.4),
 }
 BACKENDS = list(available_backends())
+#: The backend a default engine runs on here.  ``test_top_k`` walks its
+#: whole grid (6 queries x 3 k x pivots on/off x 4 seeds) on this one;
+#: a cell of another available backend — numpy beside a compiled tier,
+#: ~1 s per cell in Python run sweeps — keeps the first query's slice,
+#: and gets the whole grid on the leg that resolves to it
+#: (``REPRO_KERNELS=numpy``: CI's ``numpy-fallback``).
+RESOLVED = resolve_backend()
 INF = float("inf")
 
 
@@ -147,7 +156,7 @@ def tie_ks(scan) -> list[int]:
 class TestPooledEqualsLeafAtATime:
     def test_top_k(self, data, tries, scans, name, frozen, kernels):
         trie = tries[name][frozen]
-        for query in queries(data):
+        for query in queries(data)[:None if kernels == RESOLVED else 1]:
             scan = scans[name, query.traj_id]
             distance = {tid: d for d, tid in scan}
             for k in tie_ks(scan):

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from oracle import assert_same_up_to_ties, linear_scan, random_walks
 from repro.core.node import TERMINAL, TrieNode
+from repro.core.rearrange import rearrange_dataset
+from repro.core.reference import ReferenceEncoder, encoder_mode_for
 from repro.core.rptrie import RPTrie
+from repro.core.search import local_search
 from repro.distances import get_measure
+from repro.distances.base import rounding_slack
+from repro.distances.kernels import KERNELS_ENV, available_backends
 from repro.exceptions import IndexNotBuiltError
 from repro.types import Trajectory
 
@@ -14,14 +20,6 @@ class TestTrieNode:
     def test_terminal_is_leaf(self):
         assert TrieNode(TERMINAL).is_leaf
         assert not TrieNode(5).is_leaf
-
-    def test_get_or_create_child_idempotent(self):
-        node = TrieNode(0)
-        a = node.get_or_create_child(3)
-        b = node.get_or_create_child(3)
-        assert a is b
-        assert node.child(3) is a
-        assert node.child(4) is None
 
     def test_update_hr_folds_min_max(self):
         node = TrieNode(0)
@@ -32,9 +30,10 @@ class TestTrieNode:
 
     def test_count_nodes(self):
         root = TrieNode(0)
-        root.get_or_create_child(1).get_or_create_child(2)
-        root.get_or_create_child(3)
+        root.children = {1: TrieNode(1), 3: TrieNode(3)}
+        root.children[1].children[2] = TrieNode(2)
         assert root.count_nodes() == 4
+        assert root.child(3) is root.children[3] and root.child(4) is None
 
 
 class TestBuild:
@@ -139,3 +138,131 @@ class TestBuild:
         trie = RPTrie(small_grid, "hausdorff", num_pivots=3,
                       pivots=pivots).build(small_trajectories)
         assert trie.pivots == pivots
+
+
+def _walks_with_twins(count=40, seed=11) -> list[Trajectory]:
+    """Random walks incl. single points, plus exact copies (shared
+    leaves, distances tied at 0)."""
+    walks = random_walks(count, seed=seed, min_len=1, max_len=16)
+    return walks + [Trajectory(w.points, traj_id=500 + i)
+                    for i, w in enumerate(walks[::7])]
+
+
+def _nodes(trie):
+    """path -> node, for every node under the root."""
+    out, stack = {}, [((), trie.root)]
+    while stack:
+        path, node = stack.pop()
+        out[path] = node
+        stack.extend((path + (z,), child)
+                     for z, child in node.children.items())
+    return out
+
+
+def _per_trajectory_build(grid, measure, trajectories, pivots,
+                          optimized=False):
+    """What ``RPTrie.build`` computes, one trajectory and one per-pair
+    distance at a time: path -> (tids, dmax, max_traj_len, hr rows,
+    child order)."""
+    encoder = ReferenceEncoder(
+        grid, mode=encoder_mode_for(measure, optimized=optimized))
+    refs = [encoder.encode(t) for t in trajectories]
+    if optimized:
+        refs = rearrange_dataset(refs)
+    by_id = {t.traj_id: t for t in trajectories}
+    nodes: dict = {(): [[], 0.0, 0, [], []]}
+    for ref in refs:
+        traj = by_id[ref.traj_id]
+        row = [measure.distance(traj, p) for p in pivots]
+        path = ()
+        for z in (*ref.z_values, TERMINAL):
+            if path + (z,) not in nodes:
+                nodes[path + (z,)] = [[], 0.0, 0, [], []]
+                nodes[path][4].append(z)
+            path += (z,)
+        nodes[path][0].append(ref.traj_id)
+        if measure.name in ("hausdorff", "frechet"):
+            nodes[path][1] = max(nodes[path][1], float(
+                grid.own_cell_center_distances(traj.points).max()))
+        for depth in range(len(path) + 1):
+            entry = nodes[path[:depth]]
+            entry[2] = max(entry[2], len(traj))
+            entry[3].append(row)
+    return nodes
+
+
+class TestBuildFromArrays:
+    """The build takes z-values, ``Dmax`` and the pivot table from
+    whole-partition array passes and kernel calls; the trie must be the
+    one the per-trajectory, per-pair path builds."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("name, optimized", [
+        ("hausdorff", False), ("hausdorff", True), ("frechet", False),
+        ("erp", False), ("dtw", False), ("edr", False)])
+    def test_trie_equals_the_per_trajectory_build(
+            self, small_grid, monkeypatch, name, optimized, backend):
+        monkeypatch.setenv(KERNELS_ENV, backend)
+        measure = get_measure(name)
+        data = _walks_with_twins()
+        trie = RPTrie(small_grid, measure, optimized=optimized,
+                      num_pivots=3).build(data)
+        assert len(trie.pivots) == (3 if measure.is_metric else 0)
+        want = _per_trajectory_build(small_grid, measure, data, trie.pivots,
+                                     optimized)
+        got = _nodes(trie)
+        assert set(got) == set(want)
+        assert trie.node_count == len(got) - 1 == trie.root.count_nodes() - 1
+        slack = rounding_slack(
+            2 * max(len(t) for t in data),
+            *(t.points for t in data), np.array([measure.params["gap"]])
+        ) if name == "erp" else 0.0
+        for path, node in got.items():
+            tids, dmax, max_len, rows, child_order = want[path]
+            assert (node.tids, node.dmax, node.max_traj_len,
+                    list(node.children)) == (tids, dmax, max_len, child_order)
+            if not trie.pivots:
+                assert node.hr_min is None
+                continue
+            lo, hi = np.min(rows, axis=0), np.max(rows, axis=0)
+            if name == "erp":  # the transposed sum: ulps, inside the slack
+                assert np.abs(node.hr_min - lo).max() <= slack
+                assert np.abs(node.hr_max - hi).max() <= slack
+            else:
+                assert node.hr_min.tobytes() == lo.tobytes()
+                assert node.hr_max.tobytes() == hi.tobytes()
+
+    def test_inserts_keep_the_trie_and_its_node_count(self, small_grid):
+        """Build half, insert the rest: the nodes of building it all,
+        and ``node_count`` tracks the walk it no longer does."""
+        measure = get_measure("frechet")
+        data = _walks_with_twins()
+        whole = RPTrie(small_grid, measure, num_pivots=3).build(data)
+        grown = RPTrie(small_grid, measure, num_pivots=3,
+                       pivots=whole.pivots).build(data[:20])
+        for traj in data[20:]:
+            grown.insert(traj)
+            assert grown.node_count == grown.root.count_nodes() - 1
+        got, want = _nodes(grown), _nodes(whole)
+        assert set(got) == set(want) and grown.node_count == whole.node_count
+        for path, node in got.items():
+            other = want[path]
+            assert (node.tids, node.dmax, node.max_traj_len) == (
+                other.tids, other.dmax, other.max_traj_len)
+            assert node.hr_min.tobytes() == other.hr_min.tobytes()
+            assert node.hr_max.tobytes() == other.hr_max.tobytes()
+
+    def test_erp_seeded_with_the_kth_distance_keeps_the_tie(self,
+                                                             small_grid):
+        """ERP's table is the kernel's sum, not the per-pair DP's: a
+        pivot as the query makes the triangle tight, the exact k-th
+        distance as the seed makes an ulp matter."""
+        measure = get_measure("erp")
+        data = _walks_with_twins()
+        trie = RPTrie(small_grid, measure, num_pivots=3).build(data)
+        for query in [*trie.pivots, data[0], data[-1]]:
+            scan = linear_scan(measure, query, data)
+            for k in (1, 2, 5, 12):
+                got = local_search(trie, query, k, dk=scan[k - 1][0],
+                                   use_pivots=True).items
+                assert_same_up_to_ties(got, scan[:k], scan)
