@@ -37,7 +37,6 @@ EXPERIMENTS = {
     "kernels": ("bench_kernels", "test_report_kernels"),
     "planner": ("bench_planner", "test_report_planner"),
     "batch_planner": ("bench_batch_planner", "test_report_batch_planner"),
-    "near_dup": ("bench_near_dup", "test_report_near_dup"),
     "faults": ("bench_faults", "test_report_faults"),
     "service": ("bench_service", "test_report_service"),
 }

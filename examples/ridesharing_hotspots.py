@@ -3,8 +3,8 @@
 
 The paper's introduction motivates REPOSE with ride-hailing analytics:
 companies "issue a batch of analysis queries in hot regions".  This
-example reproduces that workload on a synthetic Xi'an-like dataset and
-shows why heterogeneous partitioning matters for it:
+example reproduces that workload on a synthetic Xi'an-like dataset to
+compare the two partitionings the paper contrasts for it:
 
 * queries are *not* uniform — they all come from one hot region;
 * with homogeneous (DITA/DFT-style) partitioning, the partitions that
@@ -12,8 +12,9 @@ shows why heterogeneous partitioning matters for it:
 * with REPOSE's heterogeneous partitioning, every partition holds a
   slice of the hot region, so all cores contribute.
 
-The script runs the same skewed batch under both partitionings and
-compares simulated cluster utilization and makespan.
+The script runs the same skewed queries under both partitionings, each
+as the paper's one-shot fan-out, and compares the summed simulated
+per-query makespan.
 """
 
 import numpy as np
@@ -49,15 +50,18 @@ def main() -> None:
         engine = Repose.build(data, measure="hausdorff", delta=0.01,
                               num_partitions=16, strategy=strategy,
                               cluster_spec=spec)
-        batch = engine.top_k_batch_scheduled(queries, k=10)
-        print(f"{strategy:>14}: batch makespan "
-              f"{batch.simulated_seconds * 1e3:8.2f} ms, "
-              f"core utilization {batch.utilization:5.1%}")
+        outcomes = [engine.top_k(query, 10, plan="single")
+                     for query in queries]
+        makespan = sum(outcome.simulated_seconds for outcome in outcomes)
+        print(f"{strategy:>14}: summed per-query makespan "
+              f"{makespan * 1e3:8.2f} ms")
 
-    print("\nExpected: heterogeneous keeps utilization high because every"
-          "\npartition contributes to every hot-region query, while"
-          "\nhomogeneous placement leaves most partitions idle or"
-          "\nimbalanced (Section V-B of the paper).")
+    print("\nThe paper (Section V-B) expects heterogeneous placement to"
+          "\nfinish hot-region queries sooner: every partition holds a"
+          "\nslice of the hot region, so each query's work spreads over"
+          "\nall cores.  Simulated times come from measured task"
+          "\ntimings and vary between runs, so compare several runs"
+          "\nbefore reading a gap into one.")
 
 
 if __name__ == "__main__":

@@ -60,13 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--radius", type=float, default=None,
                        help="run a range query instead of top-k")
     query.add_argument("--plan", default=None,
-                       choices=["waves", "single", "fifo"],
+                       choices=["waves", "single"],
                        help="query execution plan: 'waves' (two-phase "
                             "planner, the default) or 'single' "
-                            "(one-shot fan-out); results are identical. "
-                            "'fifo' (batch only) schedules every "
-                            "(query, partition) task at once, the "
-                            "Section V-A comparison path")
+                            "(one-shot fan-out); results are identical")
     query.add_argument("--wave-size", type=int, default=None,
                        help="partitions per planner wave "
                             "(plan_options={'wave_size': N})")
@@ -210,15 +207,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("error: --batch samples its own top-k queries and cannot "
               "be combined with --radius or --query-id", file=sys.stderr)
         return 2
-    if args.batch is None and (args.plan == "fifo"
-                               or args.share_eps is not None):
-        print("error: --plan fifo and --share-eps apply to batches; "
-              "combine them with --batch N", file=sys.stderr)
+    if args.batch is None and args.share_eps is not None:
+        print("error: --share-eps applies to batches; combine it with "
+              "--batch N", file=sys.stderr)
         return 2
-    if args.share_eps is not None and args.plan in ("fifo", "single"):
+    if args.share_eps is not None and args.plan == "single":
         print("error: --share-eps requires the waved batch plan "
-              "(--plan waves, the default); the fifo and single paths "
-              "do not share work between queries", file=sys.stderr)
+              "(--plan waves, the default); the single path does not "
+              "share work between queries", file=sys.stderr)
         return 2
     data = load_csv(args.data)
     measure = get_measure(args.measure)
@@ -231,8 +227,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                           num_partitions=args.partitions,
                           strategy=args.strategy,
                           kernels=args.kernels,
-                          plan=("waves" if args.plan in (None, "fifo")
-                                else args.plan),
+                          plan=args.plan or "waves",
                           plan_options=plan_options or None,
                           fault_policy=_fault_policy_from(args))
     if args.calibrate:
@@ -289,8 +284,8 @@ def _run_batch(engine: Repose, data, args: argparse.Namespace) -> int:
               f"{report.partition_queries_dispatched} partition-"
               f"queries ({grouped:.2f} queries/task), "
               f"{report.partitions_skipped} skipped, "
-              f"{report.cross_query_tightenings} cross-query + "
-              f"{report.sampled_tightenings} sampled tightenings")
+              f"{report.cross_query_tightenings} cross-query "
+              f"tightenings")
         if report.share_eps is not None:
             print(f"near-duplicate sharing (eps={report.share_eps:g}): "
                   f"{report.share_groups} share groups, "

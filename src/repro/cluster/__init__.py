@@ -29,8 +29,7 @@ substrate for a single machine:
 * :mod:`~repro.cluster.query_index` — the driver-side metric index
   (mutable VP-tree with content-fingerprint prefilter and a shared
   pair cache) the batch planner's query scans — share clustering,
-  cross-query tightening, registry neighbor lookups — run against,
-  plus the incremental cross-wave cache for sampled non-metric bounds.
+  cross-query tightening, registry neighbor lookups — run against.
 """
 
 from .rdd import RDD, ClusterContext, ProbeCache
@@ -50,7 +49,7 @@ from .scheduler import (
 )
 from .driver import RunningTopK, RunningTopKVector, merge_range, merge_top_k
 from .planner import PlanReport, QueryPlanner, WaveReport
-from .query_index import IncrementalSampledBounds, QueryIndex
+from .query_index import QueryIndex
 from .batch import BatchPlanReport, BatchQueryPlanner
 
 __all__ = [
@@ -78,5 +77,4 @@ __all__ = [
     "BatchQueryPlanner",
     "BatchPlanReport",
     "QueryIndex",
-    "IncrementalSampledBounds",
 ]

@@ -58,19 +58,8 @@ answers.  For metric measures the adopted probe bounds are shifted
 down by the member-to-representative distance (``d(member, t) >=
 d(rep, t) - d(rep, member)``), keeping probe-based partition skipping
 sound; for non-metric measures the adopted bounds carry no skipping
-power (never wrong, just conservative).
-
-**Sampled cross-query bounds** close the non-metric gap in step 3:
-DTW/EDR/LCSS admit no triangle inequality, so instead the driver
-takes a small *shared sample* of the best candidates any query has
-found so far (:meth:`~repro.cluster.driver.RunningTopKVector
-.sample_items`) and evaluates a cheap banded — warp-window for DTW,
-eps-shifted edit window for EDR/LCSS — upper bound from each query to
-each sample member (:func:`repro.distances.batch.banded_upper_bound`).
-The k-th smallest of those values certifies k distinct trajectories
-at or under it, so it upper-bounds the query's *final* k-th best with
-no metric assumption and is min-folded into the broadcast vector
-(:meth:`~repro.cluster.driver.RunningTopKVector.broadcast_vector`).
+power (never wrong, just conservative).  Non-metric queries are
+pruned by their own RP-Trie bounds only, as in the paper.
 
 **The query-side metric index** (:mod:`repro.cluster.query_index`)
 carries all of this to production batch widths: share clustering,
@@ -89,8 +78,8 @@ calls, measured by the ``query_distance_calls`` report counter.
 :class:`~repro.cluster.service.HotQueryRegistry` passed to the planner
 persists exact final results keyed by probe fingerprint, so a query
 recurring in a *later* batch is seeded with its previous final
-threshold, and a near-duplicate of a stored representative with a
-triangle or sampled banded bound — the serving layer
+threshold, and (metric measures) a near-duplicate of a stored
+representative with a triangle bound — the serving layer
 (:class:`~repro.cluster.service.ReposeService`) threads one registry
 through every micro-batch of a query stream.
 
@@ -119,7 +108,7 @@ from ..core.search import PartitionProbe, SearchStats, TopKResult
 from .driver import RunningTopKVector
 from .engine import TaskTiming, WorkloadHints
 from .planner import PlanReport, QueryPlanner, WaveState
-from .query_index import IncrementalSampledBounds, QueryIndex
+from .query_index import QueryIndex
 from .rdd import ProbeCache
 
 __all__ = ["BatchPlanReport", "BatchQueryPlanner"]
@@ -130,11 +119,6 @@ __all__ = ["BatchPlanReport", "BatchQueryPlanner"]
 #: per query (:mod:`repro.cluster.query_index` truncates soundly — a
 #: partial lookup only forfeits an optimization, never an answer).
 CROSS_QUERY_LIMIT = 64
-
-#: Floor on the automatic sampled-bound sample size (the default is
-#: ``max(2 * k, SAMPLE_MIN)`` distinct candidates): below this many
-#: the k-th smallest upper bound is too loose to prune anything.
-SAMPLE_MIN = 8
 
 #: Per-query *fresh distance-call budget* for the hot-query registry's
 #: near-duplicate neighbor lookup
@@ -157,9 +141,7 @@ class BatchPlanReport:
     counts) stays as inspectable as it is for single queries.
     """
 
-    #: ``"batch-waves"`` for planned batches, ``"batch-fifo"`` for the
-    #: FIFO one-shot comparison path
-    #: (:meth:`repro.repose.DistributedTopK.top_k_batch_scheduled`).
+    #: The plan that produced the report (``"batch-waves"``).
     mode: str = "batch-waves"
     #: Queries in the batch.
     num_queries: int = 0
@@ -186,15 +168,6 @@ class BatchPlanReport:
     #: hits are free.  The number the metric query index exists to
     #: shrink.
     query_distance_calls: int = 0
-    #: Fresh sampled banded-bound evaluations (the non-metric
-    #: cross-query DPs), deduplicated per (query, candidate) pair
-    #: across waves by :class:`~repro.cluster.query_index
-    #: .IncrementalSampledBounds`.
-    sampled_bound_calls: int = 0
-    #: Queries whose broadcast threshold was tightened below their own
-    #: running ``dk`` by the sampled banded bound (summed over waves;
-    #: the non-metric counterpart of cross-query tightening).
-    sampled_tightenings: int = 0
     #: Queries that were fingerprint-identical to an earlier batch
     #: member and reused its merged result without executing.
     queries_deduplicated: int = 0
@@ -214,7 +187,7 @@ class BatchPlanReport:
     registry_hits: int = 0
     #: Queries seeded from a stored *near-duplicate* representative —
     #: a registry entry within ``share_eps`` — through the metric
-    #: triangle bound or the sampled non-metric banded bound.
+    #: triangle bound.
     registry_neighbor_seeds: int = 0
     #: Exact, complete per-query results this batch persisted into the
     #: hot-query registry for later batches to seed from.
@@ -248,22 +221,6 @@ class BatchPlanReport:
         return sum(plan.partitions_skipped for plan in self.per_query)
 
 
-def _trajectory_points(parts: Sequence) -> dict[int, np.ndarray]:
-    """Driver-side ``tid -> points`` lookup over every partition.
-
-    The sampled bound evaluates distances to trajectories the searches
-    have already *found*, all of which live in some partition's
-    driver-held record — including incrementally inserted ones, which
-    the driver appends to the partition's trajectory list.  Partitions
-    without a trajectory list (test fakes) simply contribute nothing.
-    """
-    lookup: dict[int, np.ndarray] = {}
-    for rp in parts:
-        for traj in getattr(rp, "trajectories", None) or ():
-            lookup[traj.traj_id] = traj.points
-    return lookup
-
-
 @dataclass
 class _BatchRun:
     """One :meth:`BatchQueryPlanner.execute_batch` call's state, handed
@@ -288,9 +245,6 @@ class _BatchRun:
     share_label: dict[int, int | None]
     state: WaveState
     merges: RunningTopKVector
-    #: Memo of sampled banded bound values, shared by registry seeding
-    #: and the wave-time sampled bounds (None: no sampled bound).
-    bound_cache: IncrementalSampledBounds | None
     #: Certified per-query seed thresholds from the registry, if any.
     seeds: np.ndarray | None = None
     #: query -> registry key, for the queries eligible to seed/store.
@@ -300,19 +254,11 @@ class _BatchRun:
     #: VP-tree over the active queries behind triangle tightening,
     #: built by the first wave that can use it.
     cross_index: QueryIndex | None = None
-    _lookup: dict[int, np.ndarray] | None = None
 
     @property
     def coupled(self) -> bool:
         """Whether one query's work can tighten another's threshold."""
         return len(self.active) > 1
-
-    def trajectory_points(self) -> dict[int, np.ndarray]:
-        """The driver-side ``tid -> points`` lookup, built on first use
-        (an O(N) walk no batch pays unless a sampled bound needs it)."""
-        if self._lookup is None:
-            self._lookup = _trajectory_points(self.parts)
-        return self._lookup
 
 
 class BatchQueryPlanner(QueryPlanner):
@@ -350,25 +296,13 @@ class BatchQueryPlanner(QueryPlanner):
         restored separately), so drivers pass the measure's own
         distance for every measure.  Required for ``share_eps`` to
         take effect.
-    sampled_bound:
-        Optional ``upper_bound(query_points, candidate_points)``
-        returning a sound upper bound on the measure's distance (the
-        driver passes :func:`repro.distances.batch.banded_upper_bound`
-        for the non-metric measures).  Enables sampled cross-query
-        tightening of the broadcast vector.
-    sample_size:
-        Distinct shared-sample candidates the sampled bound evaluates
-        per query and wave.  None (the default) auto-sizes to
-        ``max(2 * k, SAMPLE_MIN)``; 0 disables the sampled bound;
-        positive values below ``k`` are raised to ``k`` (fewer than k
-        samples can never certify a k-th-best bound).
     registry:
         Optional :class:`~repro.cluster.service.HotQueryRegistry`
         (duck-typed: ``epoch``, ``get``, ``neighbors``, ``put``)
         persisting exact final results *across* batches.  Before the
         waves run, each active query is seeded with a certified upper
         bound on its final k-th best — its own stored final threshold
-        on an exact fingerprint hit, or a triangle / sampled banded
+        on an exact fingerprint hit, or (metric measures) a triangle
         bound against a stored near-duplicate representative within
         ``share_eps`` — folded into the broadcast vector from wave 0.
         After the waves, exact complete results are stored back under
@@ -382,16 +316,12 @@ class BatchQueryPlanner(QueryPlanner):
                  query_distance: Callable | None = None,
                  share_eps: float | None = None,
                  share_distance: Callable | None = None,
-                 sampled_bound: Callable | None = None,
-                 sample_size: int | None = None,
                  registry=None):
         super().__init__(engine, wave_size=wave_size,
                          probe_cache=probe_cache)
         self.query_distance = query_distance
         self.share_eps = share_eps
         self.share_distance = share_distance
-        self.sampled_bound = sampled_bound
-        self.sample_size = sample_size
         self.registry = registry
 
     @property
@@ -438,7 +368,7 @@ class BatchQueryPlanner(QueryPlanner):
         *build* (thresholds, skips, grouped tasks) and *fold*
         (merge partials, re-enqueue failures); *finalise* verdicts,
         registry stores and twins.  Everything that couples one query
-        to another — share groups, sampled and triangle tightening —
+        to another — share groups and triangle tightening —
         runs only with two or more active queries, and registry steps
         only with a registry attached, so a batch of one pays for none
         of it.
@@ -471,9 +401,7 @@ class BatchQueryPlanner(QueryPlanner):
             active=active, known=known,
             share_label={qi: (rep_of[qi] if rep_of[qi] in in_group
                               else None) for qi in active},
-            state=state, merges=RunningTopKVector(len(queries), k),
-            bound_cache=(IncrementalSampledBounds(self.sampled_bound)
-                         if self.sampled_bound is not None else None))
+            state=state, merges=RunningTopKVector(len(queries), k))
         if self.registry is not None:
             self._registry_seeds(run)
         _, wave_timings = self.engine.run_waves(
@@ -632,10 +560,11 @@ class BatchQueryPlanner(QueryPlanner):
         wave behind the representative's: by the time its first
         partitions dispatch, the representative's wave-1 results have
         been folded, so the broadcast vector hands the member a
-        near-final threshold — through the triangle inequality (metric)
-        or the sampled banded bound (non-metric) — and its entire
-        search runs maximally pruned.  One barrier of extra latency
-        buys a search that skips most of the work its twin already did.
+        near-final threshold through the triangle inequality (metric
+        measures; a non-metric member searches under its own ``dk``),
+        and its entire search runs maximally pruned.  One barrier of
+        extra latency buys a search that skips most of the work its
+        twin already did.
         """
         cache_before = self.cache_counters()
         plans: list[tuple[list, list[list[int]]]] = []
@@ -693,13 +622,12 @@ class BatchQueryPlanner(QueryPlanner):
           current epoch stores the final merged top-k of an identical
           query; its k-th distance *is* this query's final ``dk``
           (the search is deterministic), so it seeds exactly.
-        * **Near-duplicate** — failing that, stored entries within
+        * **Near-duplicate** — failing that, and only when the
+          clustering distance is the metric distance
+          (:attr:`_share_distance_is_metric`), stored entries within
           ``share_eps`` of this query are tried as representatives:
-          under a metric, ``stored_dk + d(rep, query)`` upper-bounds
-          this query's final k-th best by the triangle inequality; for
-          non-metric measures the k-th smallest :attr:`sampled_bound`
-          from the query to the entry's stored trajectories certifies
-          k distinct trajectories at or under it.  The tightest such
+          ``stored_dk + d(rep, query)`` upper-bounds this query's final
+          k-th best by the triangle inequality, and the tightest such
           bound seeds the query.  The candidates come from the
           registry's own metric lookup
           (:meth:`~repro.cluster.service.HotQueryRegistry.neighbors`)
@@ -709,17 +637,15 @@ class BatchQueryPlanner(QueryPlanner):
         Every seed upper-bounds the query's *final* k-th best, and is
         applied downstream through the same strict (``>``) skip and
         ``nextafter`` search cutoff as any other threshold, so seeded
-        results stay bit-identical to cold ones.  Non-metric seed
-        evaluations go through the run's sampled-bound memo, priming
-        the wave-time sampled bounds (same (query, tid) value space).
-        Leaves ``run.seeds`` None when nothing seeded.
+        results stay bit-identical to cold ones.  Leaves ``run.seeds``
+        None when nothing seeded.
         """
         registry, report, k = self.registry, run.report, run.k
         run.registry_epoch = registry.epoch
         run.registry_stores_before = getattr(registry, "stores", 0)
         seeds = np.full(len(run.queries), np.inf)
         can_neighbor = (self.share_eps is not None
-                        and self.share_distance is not None)
+                        and self._share_distance_is_metric)
         for qi in run.active:
             query = run.queries[qi]
             fingerprint = self._registry_fingerprint(query,
@@ -732,32 +658,15 @@ class BatchQueryPlanner(QueryPlanner):
                 seeds[qi] = entry.threshold(k)
                 report.registry_hits += 1
                 continue
-            query_points = getattr(query, "points", None)
-            if not can_neighbor or query_points is None:
+            if not can_neighbor or getattr(query, "points", None) is None:
                 continue
             pairs, fresh = registry.neighbors(
                 query, self.share_eps, self.share_distance,
-                metric=self._share_distance_is_metric,
                 budget=REGISTRY_SCAN_LIMIT, query_key=fingerprint)
             report.query_distance_calls += fresh
-            best = np.inf
-            for candidate, distance in pairs:
-                if len(candidate.items) < k:
-                    continue
-                if self._share_distance_is_metric:
-                    bound = candidate.threshold(k) + distance
-                elif run.bound_cache is not None:
-                    lookup = run.trajectory_points()
-                    values = sorted(
-                        run.bound_cache.value(qi, query_points, tid,
-                                              lookup[tid])
-                        for _, tid in candidate.items if tid in lookup)
-                    if len(values) < k:
-                        continue
-                    bound = values[k - 1]
-                else:
-                    continue
-                best = min(best, bound)
+            best = min((candidate.threshold(k) + distance
+                        for candidate, distance in pairs
+                        if len(candidate.items) >= k), default=np.inf)
             if np.isfinite(best):
                 seeds[qi] = best
                 registry.neighbor_hits = getattr(
@@ -768,89 +677,21 @@ class BatchQueryPlanner(QueryPlanner):
 
     # -- step: build-wave ----------------------------------------------------
 
-    def _thresholds(self, run: _BatchRun, index: int,
-                    live: Sequence[int]) -> np.ndarray:
-        """The per-query thresholds wave ``index`` is built under.
+    def _thresholds(self, run: _BatchRun) -> np.ndarray:
+        """The per-query thresholds the next wave is built under.
 
         Each query's own running ``dk``, min-folded with every
         certified upper bound on its *final* k-th best the batch
         holds: registry seeds (sound in every wave), and — between two
-        or more active queries — this wave's sampled non-metric and
-        triangle bounds.  ``live`` names the queries dispatching in
-        this wave; only they can use a sampled bound.
+        or more active queries — this wave's triangle bounds.
         """
-        raw = run.merges.dk_vector()
         bounds = run.seeds
         if run.coupled:
-            for extra in (self._sampled_wave_bounds(run, index, live, raw),
-                          self._triangle_bounds(run, raw)):
-                if extra is not None:
-                    bounds = (extra if bounds is None
-                              else np.minimum(bounds, extra))
+            extra = self._triangle_bounds(run, run.merges.dk_vector())
+            if extra is not None:
+                bounds = (extra if bounds is None
+                          else np.minimum(bounds, extra))
         return run.merges.broadcast_vector(bounds)
-
-    def _sampled_wave_bounds(self, run: _BatchRun, index: int,
-                             live: Sequence[int], raw: np.ndarray,
-                             ) -> np.ndarray | None:
-        """This wave's sampled non-metric bounds for the ``live``
-        queries (exhausted plans and staggered members' empty leading
-        waves would pay for banded DPs nobody reads); nothing has been
-        found to sample before wave 1."""
-        if self.sampled_bound is None or index == 0:
-            return None
-        bounds = self._sampled_bounds(
-            run.queries, live, run.k, run.merges, run.trajectory_points(),
-            cache=run.bound_cache)
-        if bounds is not None:
-            run.report.sampled_tightenings += int(
-                np.count_nonzero(bounds < raw))
-        return bounds
-
-    def _sampled_bounds(self, queries: Sequence, active: Sequence[int],
-                        k: int, merges: RunningTopKVector,
-                        traj_points: dict[int, np.ndarray],
-                        cache: IncrementalSampledBounds | None = None,
-                        ) -> np.ndarray | None:
-        """Per-query sampled upper bounds on each final k-th best.
-
-        Takes the batch's shared candidate sample (the globally best
-        distinct trajectories any query holds so far) and evaluates
-        :attr:`sampled_bound` from every active query to every sample
-        member.  The k-th smallest value certifies k distinct indexed
-        trajectories at or under it, so it upper-bounds that query's
-        *final* k-th-best distance — sound for any measure, metric or
-        not.  Returns None when disabled, when fewer than k distinct
-        candidates exist yet, or when the sample trajectories cannot
-        be resolved driver-side.  ``cache`` (the run's
-        :class:`~repro.cluster.query_index.IncrementalSampledBounds`)
-        memoizes evaluated ``(query index, tid)`` pairs across waves —
-        both point arrays are immutable, so as the sample stabilizes
-        each wave only pays for candidates it has not bounded before —
-        and each query's k-th value per sample epoch, so a wave whose
-        shared sample did not change skips even the selection pass.
-        """
-        if self.sampled_bound is None or self.sample_size == 0:
-            return None
-        size = (self.sample_size if self.sample_size is not None
-                else max(2 * k, SAMPLE_MIN))
-        # Fewer than k samples can never produce a bound, so a small
-        # configured size is raised to k rather than silently turning
-        # the whole mechanism off (only 0 disables, as documented).
-        size = max(size, k)
-        sample = merges.sample_items(size)
-        resolved = [(tid, traj_points[tid]) for _, tid in sample
-                    if tid in traj_points]
-        if len(resolved) < k:
-            return None
-        if cache is None:
-            cache = IncrementalSampledBounds(self.sampled_bound)
-        bounds = np.full(len(queries), np.inf)
-        for qi in active:
-            query_points = getattr(queries[qi], "points", None)
-            if query_points is not None:
-                bounds[qi] = cache.kth(qi, query_points, resolved, k,
-                                       epoch=merges.sample_epoch)
-        return bounds
 
     def _triangle_bounds(self, run: _BatchRun,
                          raw: np.ndarray) -> np.ndarray | None:
@@ -903,7 +744,7 @@ class BatchQueryPlanner(QueryPlanner):
         bound for it, each query under its own freshest threshold.
         """
         report = run.report
-        dks = self._thresholds(run, index, list(candidates))
+        dks = self._thresholds(run)
         entries = self._build_wave(run.state, index, candidates, dks)
         tasks = []
         broadcast_queries: set[int] = set()
@@ -969,8 +810,6 @@ class BatchQueryPlanner(QueryPlanner):
         """Close the batch: per-query exactness verdicts, registry
         stores, twins' copies and the plan counters on each result."""
         report, k = run.report, run.k
-        if run.bound_cache is not None:
-            report.sampled_bound_calls = run.bound_cache.calls
         results = run.merges.results()
         for qi in run.active:
             plan = report.per_query[qi]

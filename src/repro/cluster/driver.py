@@ -115,46 +115,19 @@ class RunningTopKVector:
     *final* k-th best can never exceed that — a sound (strictly
     applied, hence answer-preserving) threshold for ``j`` even before
     ``j`` has found k results of its own
-    (:meth:`repro.cluster.query_index.QueryIndex.tighten`).  For the
-    non-metric measures (DTW/EDR/LCSS) the planner evaluates a cheap
-    banded (warp-window / eps-shift) upper bound from each query to a
-    small shared sample of already-found candidate trajectories
-    (:meth:`sample_items`); the k-th smallest of those values
-    upper-bounds the query's final k-th best outright — k distinct
-    trajectories provably sit at or under it — with no metric
-    assumption.
+    (:meth:`repro.cluster.query_index.QueryIndex.tighten`).
     """
 
     def __init__(self, num_queries: int, k: int):
         self.k = k
         self._merges = [RunningTopK(k) for _ in range(num_queries)]
-        self._sample_epoch = 0
-        self._sample_cache: tuple[int, list[tuple[float, int]]] | None = None
 
     def __len__(self) -> int:
         return len(self._merges)
 
-    @property
-    def sample_epoch(self) -> int:
-        """Version counter for the shared candidate sample.
-
-        Bumped whenever a :meth:`fold` changes any query's held items,
-        so :meth:`sample_items` — and anything derived from it, like
-        the planner's incremental sampled non-metric bounds — is a pure
-        function of this epoch: equal epochs guarantee equal samples.
-        """
-        return self._sample_epoch
-
     def fold(self, index: int, partials: Iterable[TopKResult]) -> None:
         """Fold partial results into query ``index``'s running merge."""
-        merge = self._merges[index]
-        before = merge._items
-        merge.fold(partials)
-        # ``RunningTopK.fold`` rebuilds ``_items`` via sorted(...), so
-        # an unchanged merge still gets a fresh (equal) list — compare
-        # by value to keep the epoch stable across no-op folds.
-        if merge._items != before:
-            self._sample_epoch += 1
+        self._merges[index].fold(partials)
 
     def dk(self, index: int) -> float:
         """Query ``index``'s running global k-th best distance."""
@@ -170,8 +143,8 @@ class RunningTopKVector:
 
         Each query's own running ``dk``, min-folded with ``bounds`` —
         a per-query vector of externally certified upper bounds on each
-        query's *final* k-th best (the batch planner's registry seeds,
-        sampled non-metric bounds and triangle bounds).  The running
+        query's *final* k-th best (the batch planner's registry seeds
+        and triangle bounds).  The running
         merges are never modified: the vector is a broadcast value,
         not a result.
         """
@@ -180,30 +153,6 @@ class RunningTopKVector:
             thresholds = np.minimum(thresholds,
                                     np.asarray(bounds, dtype=float))
         return thresholds
-
-    def sample_items(self, size: int) -> list[tuple[float, int]]:
-        """The ``size`` globally best distinct candidates found so far.
-
-        Union of every query's running items, deduplicated by
-        trajectory id (keeping each id's best distance) and sorted by
-        ``(distance, tid)`` — the shared candidate sample the batch
-        planner evaluates its sampled non-metric cross-query bounds
-        against.  Deterministic, and purely a read: no merge changes.
-        The full ranked union is memoized per :attr:`sample_epoch`, so
-        repeated reads within one wave (or across waves that folded
-        nothing new) cost no re-ranking.
-        """
-        if (self._sample_cache is None
-                or self._sample_cache[0] != self._sample_epoch):
-            best: dict[int, float] = {}
-            for merge in self._merges:
-                for distance, tid in merge._items:
-                    if distance < best.get(tid, float("inf")):
-                        best[tid] = distance
-            ranked = sorted((distance, tid)
-                            for tid, distance in best.items())
-            self._sample_cache = (self._sample_epoch, ranked)
-        return self._sample_cache[1][:size]
 
     def results(self) -> list[TopKResult]:
         """The merged global result of every query, in input order."""

@@ -19,12 +19,13 @@ Backends:
   workers when user-supplied functions are picklable too;
 * ``"auto"`` — pick one of the above per :meth:`ExecutionEngine.run`
   call from a small cost model over :class:`WorkloadHints` (measure
-  class x partition size x batch width; see :func:`choose_backend`).
+  class x partition size x queries per task; see
+  :func:`choose_backend`).
 
 Thread and process pools are created once per engine and reused across
 ``run`` calls, so worker startup (and, for processes, interpreter
-spawn) is amortized over a whole scheduled query batch instead of paid
-per query.  Backend choice never changes results — every backend runs
+spawn) is amortized over a whole query stream instead of paid per
+query.  Backend choice never changes results — every backend runs
 the same tasks and returns them in partition order — so ``"auto"`` is
 purely a placement decision.
 
@@ -99,11 +100,7 @@ class WorkloadHints:
         Average number of trajectory points per partition — the size of
         the work one task touches.
     num_tasks:
-        Tasks in this ``run`` call (queries x partitions for scheduled
-        batches).
-    batch_width:
-        Queries amortized over the same dispatch; pool startup is paid
-        once for the whole batch.
+        Tasks in this ``run`` call.
     queries_per_task:
         Queries evaluated *inside* each task.  The batch query planner
         dispatches multi-query partition tasks (one task searches one
@@ -122,7 +119,6 @@ class WorkloadHints:
     measure: str | None = None
     partition_points: int = 0
     num_tasks: int = 0
-    batch_width: int = 1
     queries_per_task: float = 1.0
     kernels: str | None = None
 
@@ -232,7 +228,7 @@ def choose_backend(hints: WorkloadHints | None,
     """Resolve ``"auto"`` to a concrete backend for one task batch.
 
     The model estimates total work as ``measure cost x partition points
-    x batch width x queries per task x tasks`` and compares the
+    x queries per task x tasks`` and compares the
     GIL-held share against pool overheads:
 
     * tiny batches (or a single task) stay serial;
@@ -255,7 +251,6 @@ def choose_backend(hints: WorkloadHints | None,
         return "serial"
     cost = _lookup_cost_us(hints.measure, hints.kernels, cost_us)
     per_task = (cost * max(hints.partition_points, 1)
-                * max(hints.batch_width, 1)
                 * max(hints.queries_per_task, 1.0))
     total = per_task * hints.num_tasks
     if total < _SERIAL_CUTOFF_US:
@@ -413,9 +408,9 @@ def require_results(outcomes: Sequence[TaskOutcome]) -> list[object]:
     """Unwrap outcomes into plain results, raising on any failure.
 
     The fail-fast adapter for call sites that cannot degrade
-    gracefully (``RDD.collect_partitions``, the FIFO scheduled batch
-    path): raises :class:`~repro.exceptions.TaskFailedError` naming the
-    failed partitions, otherwise returns results in partition order.
+    gracefully (``RDD.collect_partitions``): raises
+    :class:`~repro.exceptions.TaskFailedError` naming the failed
+    partitions, otherwise returns results in partition order.
     """
     failed = [o for o in outcomes if not o.ok]
     if failed:
@@ -763,7 +758,6 @@ class ExecutionEngine:
         cost = _lookup_cost_us(hints.measure, hints.kernels,
                                self.calibrated_cost_us)
         per_task_us = (cost * max(hints.partition_points, 1)
-                       * max(hints.batch_width, 1)
                        * max(hints.queries_per_task, 1.0))
         return per_task_us / 1e6
 

@@ -122,7 +122,7 @@ class PlanReport:
     """
 
     #: ``"waves"`` (the wave loop — a single query or one query of a
-    #: batch alike) or ``"batch-fifo"`` (the FIFO one-shot batch path).
+    #: batch alike).
     mode: str
     #: Partitions per wave the plan was cut into.
     wave_size: int

@@ -27,14 +27,6 @@ admits.  This module provides the index those scans run against:
     ``known`` dict), and — for the registry's index, whose keys are
     content fingerprints — across batches.
 
-* :class:`IncrementalSampledBounds` — the cross-wave cache behind the
-  sampled non-metric bounds: banded bound values are memoized per
-  ``(query, candidate)`` pair (both point arrays are immutable, so a
-  value never expires) and each query's k-th smallest value per
-  *sample epoch* (:attr:`~repro.cluster.driver.RunningTopKVector
-  .sample_epoch`), so a wave whose shared sample did not change does
-  no bound work at all.
-
 Soundness and bit-identity: every value the index serves is either an
 exactly evaluated distance or absent.  Truncating a search at its
 distance-call ``budget`` only *removes* matches — a partial minimum
@@ -50,7 +42,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["QueryIndex", "IncrementalSampledBounds", "content_key"]
+__all__ = ["QueryIndex", "content_key"]
 
 #: Routing depth past which an insert stops descending and attaches the
 #: item to the current node's overflow bucket instead.  Keeps the cost
@@ -518,49 +510,3 @@ class QueryIndex:
             pass
         return best
 
-
-class IncrementalSampledBounds:
-    """Cross-wave cache for the sampled non-metric bound pass.
-
-    ``bound(query_points, candidate_points)`` values depend only on two
-    immutable point arrays, so :meth:`value` memoizes them forever per
-    ``(query index, trajectory id)`` — across waves, and across the
-    registry-seed and wave-bound phases of one batch.  :meth:`kth`
-    additionally memoizes each query's k-th smallest sample value per
-    *sample epoch* (:attr:`~repro.cluster.driver.RunningTopKVector
-    .sample_epoch`), so a wave whose shared sample did not change skips
-    even the selection work.  :attr:`calls` counts fresh bound
-    evaluations (the ``sampled_bound_calls`` report counter).
-    """
-
-    def __init__(self, bound: Callable):
-        self.bound = bound
-        self.calls = 0
-        self._values: dict[tuple, float] = {}
-        self._kth: dict[object, tuple[int, float]] = {}
-
-    def value(self, qi, query_points, tid, candidate_points) -> float:
-        """The memoized bound from query ``qi`` to trajectory ``tid``."""
-        key = (qi, tid)
-        cached = self._values.get(key)
-        if cached is None:
-            cached = float(self.bound(query_points, candidate_points))
-            self.calls += 1
-            self._values[key] = cached
-        return cached
-
-    def kth(self, qi, query_points, resolved, k: int,
-            epoch: int | None = None) -> float:
-        """The k-th smallest bound from ``qi`` to the ``resolved``
-        sample (``(tid, points)`` pairs, ``len(resolved) >= k``),
-        memoized per sample epoch when one is given."""
-        if epoch is not None:
-            memo = self._kth.get(qi)
-            if memo is not None and memo[0] == epoch:
-                return memo[1]
-        values = sorted(self.value(qi, query_points, tid, points)
-                        for tid, points in resolved)
-        result = values[k - 1]
-        if epoch is not None:
-            self._kth[qi] = (epoch, result)
-        return result

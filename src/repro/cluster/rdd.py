@@ -31,7 +31,7 @@ class ProbeCache:
     function of the query, the shared query-pivot distances and the
     partition's index, and the query planners re-probe every partition
     on every planned query.  A stream of repeated queries — the same
-    trajectory issued in consecutive scheduled batches — therefore
+    trajectory issued in consecutive batches — therefore
     recomputes identical probes.  This cache memoizes them per
     ``(partition id, query fingerprint)`` for the current *index epoch*:
     any index rebuild or incremental insert bumps the epoch

@@ -20,10 +20,9 @@ This module supplies that front-end:
   fingerprint, the representative query and the final merged top-k
   items.  A later batch seeds a recurring query's threshold ``dk``
   directly from its stored final threshold, and a *near-duplicate*
-  query (within ``share_eps`` of a stored representative) from a
-  metric triangle bound or a sampled non-metric cross-query bound —
-  so hot queries start their search under a near-final ``dk`` instead
-  of a cold one.  Entries are epoch-stamped against the driver's
+  query (within ``share_eps`` of a stored representative, metric
+  measures only) from a triangle bound — so hot queries start their
+  search under a near-final ``dk`` instead of a cold one.  Entries are epoch-stamped against the driver's
   :class:`~repro.cluster.rdd.ProbeCache` epoch and invalidated on
   ``insert()``/``build()`` (the registry subscribes to epoch rolls),
   with LRU capacity and optional TTL eviction.
@@ -169,7 +168,7 @@ class HotQueryRegistry:
         self.hits += 1
         return entry
 
-    def neighbors(self, query, eps: float, distance, metric: bool = False,
+    def neighbors(self, query, eps: float, distance,
                   budget: int | None = None, query_key: bytes | None = None,
                   ) -> tuple[list[tuple[RegistryEntry, float]], int]:
         """All valid stored entries within ``eps`` of ``query``.
@@ -178,19 +177,17 @@ class HotQueryRegistry:
         ``(matches, fresh_calls)``
         where each match is ``(entry, distance)`` and ``fresh_calls``
         counts the trajectory-distance evaluations actually performed.
-        Under ``metric=True`` the lookup runs against a lazily
+        ``distance`` must be a metric: the lookup runs against a lazily
         maintained :class:`~repro.cluster.query_index.QueryIndex` over
         every live entry — new entries are drained into it on demand,
         entries evicted since are skipped at report time (same
         fingerprint means same query points, so a replaced entry's
         cached distances stay valid), and an epoch roll resets it with
-        the rest of the registry.  Under ``metric=False`` (non-metric
-        measures certify no pruning) it is a most-recent-first linear
-        scan.  Either way ``budget`` caps *fresh* distance calls per
-        lookup, and a cross-epoch pair cache keyed by fingerprints —
-        pure content hashes, so epoch-stable — makes recurring
-        queries' lookups nearly free; a truncated lookup just returns
-        fewer candidates (the seed it feeds is a minimum over
+        the rest of the registry.  ``budget`` caps *fresh* distance
+        calls per lookup, and a cross-epoch pair cache keyed by
+        fingerprints — pure content hashes, so epoch-stable — makes
+        recurring queries' lookups nearly free; a truncated lookup just
+        returns fewer candidates (the seed it feeds is a minimum over
         certified bounds, so any subset is sound).  Entries whose
         stored query has no point array are never candidates.
         """
@@ -199,30 +196,6 @@ class HotQueryRegistry:
         if len(self._pair_cache) > self.PAIR_CACHE_LIMIT:
             self._pair_cache = {}
         matches: list[tuple[RegistryEntry, float]] = []
-        if not metric:
-            fresh = 0
-            for entry in reversed(self._entries.values()):
-                if budget is not None and fresh >= budget:
-                    break
-                if not self._valid(entry):
-                    continue
-                if getattr(entry.query, "points", None) is None:
-                    continue
-                pair = None
-                if query_key is not None:
-                    pair = ((query_key, entry.fingerprint)
-                            if query_key <= entry.fingerprint
-                            else (entry.fingerprint, query_key))
-                value = (self._pair_cache.get(pair)
-                         if pair is not None else None)
-                if value is None:
-                    value = float(distance(query, entry.query))
-                    fresh += 1
-                    if pair is not None:
-                        self._pair_cache[pair] = value
-                if value <= eps:
-                    matches.append((entry, value))
-            return matches, fresh
         if (self._index is not None
                 and (self._index_distance != distance
                      or len(self._indexed) > 2 * self.capacity)):

@@ -409,7 +409,8 @@ class _SharedGatherStore:
         self._store = store
         self._gathers: dict = {}
         self._group_keys: dict = {}
-        self._released: list = []
+        # Ordered set (dict keys): released labels, oldest first.
+        self._released: dict = {}
         self._group = None
         self._elems = 0
         self.budget_elems = budget_elems
@@ -426,11 +427,14 @@ class _SharedGatherStore:
 
         Purely a memory policy — a released tensor is rebuilt on the
         next request, bit-identically.  Groups released while under
-        budget stay eviction-eligible later.
+        budget stay eviction-eligible later.  Idempotent: releasing a
+        label again keeps its place, so a persistent view serving the
+        same share group batch after batch holds one entry for it.
         """
-        self._released.append(label)
+        self._released.setdefault(label, None)
         while self._elems > self.budget_elems and self._released:
-            victim = self._released.pop(0)
+            victim = next(iter(self._released))
+            del self._released[victim]
             for key in self._group_keys.pop(victim, ()):
                 entry = self._gathers.pop(key, None)
                 if entry is not None:

@@ -63,13 +63,10 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Measure, rounding_slack
-from .dtw import dtw_banded_distance
 from .edr import DEFAULT_EPS as _EDR_DEFAULT_EPS
-from .edr import edr_banded_distance
 from .erp import DEFAULT_PREFIX_DEPTH
 from .kernels import get_kernels
 from .lcss import DEFAULT_EPS as _LCSS_DEFAULT_EPS
-from .lcss import lcss_banded_distance
 # Not called here any more: the per-pair path is the tests' oracle.  The
 # name stays bound because benchmarks/e2e/layers.py wraps it by name
 # (its ``distances.threshold.perpair_ms`` span then reads 0).
@@ -80,7 +77,6 @@ __all__ = [
     "batch_match_tensor",
     "batch_lower_bounds",
     "candidate_lower_bounds",
-    "banded_upper_bound",
     "batch_dtw_distances",
     "batch_dtw_banded",
     "batch_frechet_distances",
@@ -95,27 +91,6 @@ __all__ = [
     "refine_range",
     "exact_distances",
 ]
-
-#: Sakoe-Chiba radius for driver-side sampled upper bounds
-#: (:func:`banded_upper_bound`).  Narrow on purpose: the bound backs
-#: cross-query threshold reuse, where dozens of (query, sample) pairs
-#: are evaluated at every wave boundary, so each evaluation must cost
-#: O(band x max(m, n)) rather than a full DP.  Any radius is sound —
-#: wider only tightens — and the planner never needs exactness here.
-SAMPLED_BOUND_BAND = 4
-
-#: Relative inflation applied to the banded DTW sampled bound.  The
-#: band-restricted optimum dominates the unrestricted one in *real*
-#: arithmetic, but when the band happens to cover the optimal warp
-#: path both DPs sum the same path costs in different association
-#: orders, and the banded float value can land a few ulps *below* the
-#: exact DP's float value — enough to strictly exclude the true k-th
-#: candidate downstream.  Inflating by far more than the worst-case
-#: accumulated rounding (~path_length x machine eps ~ 1e-13) restores
-#: a sound float-level upper bound at immeasurable pruning cost.  The
-#: integer edit DPs (EDR/LCSS) need no slack: their DP values are
-#: small exact integers, and LCSS's final division is monotone.
-_DTW_BOUND_SLACK = 1e-9
 
 #: float64 elements per broadcast slab: chunks of the ``(c, m, L)``
 #: tensor stay under ~32 MB regardless of candidate-set size.
@@ -969,33 +944,6 @@ def _edit_eps(measure: Measure) -> float:
     default = (_EDR_DEFAULT_EPS if measure.name == "edr"
                else _LCSS_DEFAULT_EPS)
     return float(measure.params.get("eps", default))
-
-
-def banded_upper_bound(measure: Measure, a: np.ndarray, b: np.ndarray,
-                       band: int = SAMPLED_BOUND_BAND) -> float:
-    """A cheap, sound upper bound on ``measure.distance(a, b)``.
-
-    The driver-side primitive behind the batch planner's sampled
-    cross-query bounds for the non-metric measures: restricting the
-    alignment to a Sakoe-Chiba window of radius ``band`` can only
-    raise a DP optimum (DTW warp paths, EDR edit paths) or shrink a
-    common subsequence (LCSS), so the banded value always sits at or
-    above the exact distance — at O(band x max(len)) cost instead of a
-    full DP.  The edit measures run with the same ``eps`` the
-    measure's own distance runs with, so the bound is sound for the
-    configured parameters.  Measures without a banded kernel fall back
-    to the exact distance (trivially its own upper bound).
-    """
-    name = measure.name
-    if name == "dtw":
-        # Float-safe: see _DTW_BOUND_SLACK (the raw banded value can
-        # drift ulps below the exact DP's float value).
-        return dtw_banded_distance(a, b, band) * (1.0 + _DTW_BOUND_SLACK)
-    if name == "edr":
-        return edr_banded_distance(a, b, band, eps=_edit_eps(measure))
-    if name == "lcss":
-        return lcss_banded_distance(a, b, band, eps=_edit_eps(measure))
-    return measure.distance(a, b)
 
 
 class BatchRefiner:

@@ -39,8 +39,8 @@ class PartitioningError(ReproError):
 class TaskFailedError(ReproError):
     """A dispatched partition task failed terminally.
 
-    Raised by fail-fast call sites (``RDD.collect_partitions``, the
-    FIFO scheduled batch path) when a task exhausted its retry budget
+    Raised by fail-fast call sites (``RDD.collect_partitions``) when a
+    task exhausted its retry budget
     — or, with no :class:`~repro.cluster.engine.FaultPolicy`, when a
     process worker death broke the persistent pool.  The planner paths
     degrade gracefully instead: see

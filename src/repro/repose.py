@@ -30,9 +30,8 @@ import numpy as np
 
 from .cluster.batch import BatchPlanReport, BatchQueryPlanner
 from .cluster.driver import merge_range, merge_top_k
-from .cluster.engine import (ExecutionEngine, FaultPolicy, WorkloadHints,
-                             require_results)
-from .cluster.planner import PlanReport, QueryPlanner, WaveReport
+from .cluster.engine import ExecutionEngine, FaultPolicy, WorkloadHints
+from .cluster.planner import PlanReport
 from .cluster.rdd import ClusterContext
 from .cluster.scheduler import (
     ClusterSpec,
@@ -53,7 +52,6 @@ from .core.search import (
 )
 from .core.succinct import SuccinctRPTrie
 from .distances.base import Measure, get_measure
-from .distances.batch import banded_upper_bound
 from .distances.kernels import resolve_backend
 from .exceptions import IndexNotBuiltError, PartialResultError
 from .partitioning.strategies import make_strategy
@@ -133,7 +131,7 @@ def _make_rptrie_index(grid: Grid, measure: Measure, optimized: bool,
 
 
 class _LocalTopKTask:
-    """One (query, partition) task of a scheduled batch (picklable)."""
+    """One (query, partition) top-k task (picklable)."""
 
     def __init__(self, rp: RpTraj, query: Trajectory, k: int, kwargs: dict):
         self.rp = rp
@@ -283,13 +281,11 @@ class BatchOutcome:
     .top_k_batch` with ``plan="waves"``) ``plan`` carries the
     :class:`~repro.cluster.batch.BatchPlanReport` — dispatched
     multi-query tasks, per-query wave accounting, probe, share-group
-    and cross-query threshold savings; FIFO-scheduled batches
-    (:meth:`DistributedTopK.top_k_batch_scheduled`) carry the same
-    report with ``mode="batch-fifo"``, and only the sequential
+    and cross-query threshold savings; the sequential
     ``plan="single"`` path leaves it None.  The makespan and
-    utilization expose the resource waste
-    that homogeneous partitioning causes when query load concentrates
-    on a few partitions.
+    utilization expose the resource waste that homogeneous
+    partitioning causes when query load concentrates on a few
+    partitions.
 
     Degradation state mirrors :class:`QueryOutcome`, per query:
     ``complete`` is the whole batch's verdict, while ``exact[qi]`` and
@@ -526,10 +522,7 @@ class DistributedTopK:
         default: the partition count cut into 4 waves);
         ``{"share_eps": float}`` (batch queries within this distance
         of a share-group representative adopt its probe/wave plan —
-        near-duplicate sharing, default off); ``{"sample_size": int}``
-        (shared-sample candidates behind the batch planner's sampled
-        non-metric cross-query bounds; default auto-sizes to
-        ``max(2k, 8)``, 0 disables).
+        near-duplicate sharing, default off).
     fault_policy:
         Optional :class:`~repro.cluster.engine.FaultPolicy` installed
         on the engine: partition tasks are retried with backoff, timed
@@ -543,7 +536,7 @@ class DistributedTopK:
 
     #: Every knob :attr:`plan_options` accepts; anything else raises
     #: ``ValueError`` up front instead of being silently ignored.
-    _PLAN_OPTION_KEYS = frozenset({"wave_size", "share_eps", "sample_size"})
+    _PLAN_OPTION_KEYS = frozenset({"wave_size", "share_eps"})
 
     def __init__(self, dataset: TrajectoryDataset,
                  index_factory: Callable[[], object],
@@ -605,7 +598,7 @@ class DistributedTopK:
                 f"supported knobs: {supported}")
         return options
 
-    def _workload_hints(self, num_tasks: int, batch_width: int = 1,
+    def _workload_hints(self, num_tasks: int,
                         queries_per_task: float = 1.0) -> WorkloadHints:
         """Hints for the ``"auto"`` engine: what one dispatch looks like.
 
@@ -621,7 +614,6 @@ class DistributedTopK:
         return WorkloadHints(measure=self.measure_hint,
                              partition_points=self._partition_points,
                              num_tasks=num_tasks,
-                             batch_width=batch_width,
                              queries_per_task=queries_per_task,
                              kernels=self.kernels_hint)
 
@@ -719,8 +711,6 @@ class DistributedTopK:
             query_distance=self._query_distance_fn(),
             share_eps=options.get("share_eps"),
             share_distance=self._share_distance_fn(),
-            sampled_bound=self._sampled_bound_fn(),
-            sample_size=options.get("sample_size"),
             registry=registry)
 
     def _query_distance_fn(self) -> Callable | None:
@@ -740,13 +730,6 @@ class DistributedTopK:
         base driver still knows no measure, so it opts out and
         ``share_eps`` is inert; :class:`Repose` supplies its measure's
         distance unconditionally."""
-        return None
-
-    def _sampled_bound_fn(self) -> Callable | None:
-        """Driver-side pairwise *upper* bound backing the batch
-        planner's sampled cross-query bounds for non-metric measures,
-        or None to disable (the base driver, and metric measures —
-        which already get the stronger triangle coupling)."""
         return None
 
     def _top_k_waves(self, queries: list[Trajectory], k: int,
@@ -835,18 +818,13 @@ class DistributedTopK:
         queries (within ``eps`` of a share-group representative) skip
         their own probe pass and adopt the representative's wave plan,
         marching through shared partition tasks and leaf tensors while
-        still being refined exactly; for the non-metric measures
-        (DTW/EDR/LCSS) a sampled banded bound over a small shared
-        candidate sample tightens sibling thresholds where the
-        triangle inequality cannot (``{"sample_size": n}`` sizes it, 0
-        disables).  All of the planner's driver-side query scans run
-        against the VP-tree metric index of
+        still being refined exactly.  All of the planner's driver-side
+        query scans run against the VP-tree metric index of
         :mod:`repro.cluster.query_index`, so cross-query reuse has no
-        batch-width cap.  ``plan="single"`` runs the queries sequentially,
-        each as the paper's one-shot fan-out; ``plan="fifo"`` runs the
-        Section V-A one-shot comparison path
-        (:meth:`top_k_batch_scheduled`).  All plans return one merged
-        result per query, bit-identical to running that query alone.
+        batch-width cap.  ``plan="single"`` runs the queries
+        sequentially, each as the paper's one-shot fan-out.  Both
+        plans return one merged result per query, bit-identical to
+        running that query alone.
         ``plan_options`` overrides the engine-level planner knobs for
         this call.
 
@@ -860,16 +838,6 @@ class DistributedTopK:
         """
         if self._rdd is None:
             raise IndexNotBuiltError("call build() before batch queries")
-        if plan == "fifo":
-            if plan_options:
-                # Mirrors the CLI's rejection of --plan fifo with
-                # --share-eps: the FIFO comparison path shares no work
-                # between queries, so silently dropping the options
-                # would misreport what actually ran.
-                raise ValueError(
-                    "plan='fifo' does not accept plan_options; the "
-                    "FIFO one-shot path shares no work between queries")
-            return self.top_k_batch_scheduled(queries, k)
         plan_options = self._validate_plan_options(plan_options)
         if self._resolve_plan(plan) == "waves":
             return self._top_k_waves(
@@ -888,71 +856,6 @@ class DistributedTopK:
             simulated_seconds=sum(outcome.simulated_seconds
                                   for outcome in outcomes),
             schedule=None)
-
-    def top_k_batch_scheduled(self, queries: list[Trajectory],
-                              k: int) -> BatchOutcome:
-        """Schedule a whole batch's tasks onto the cluster at once.
-
-        Every (query, partition) local search becomes one task; tasks
-        are dispatched FIFO, query-major, mirroring how Spark runs
-        concurrent jobs over the same executors.  Returns the batch
-        makespan and cluster utilization (Section V-A's batch-search
-        discussion).  The outcome carries a
-        :class:`~repro.cluster.batch.BatchPlanReport` with
-        ``mode="batch-fifo"`` — every (query, partition) pair
-        dispatched as its own single-query task in one unconditional
-        wave, nothing probed, grouped, deduplicated or tightened — so
-        the one-shot comparison path shares the planner's Section V-A
-        accounting instead of bypassing it.
-        """
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before batch queries")
-        parts = self._parts
-        start = time.perf_counter()
-
-        tasks = []
-        for query in queries:
-            # One driver-side kwargs computation per query (not per
-            # task): partitions share e.g. the query-pivot distances.
-            kwargs = self._query_kwargs_for(query)
-            for rp in parts:
-                tasks.append(_LocalTopKTask(rp, query, k, kwargs))
-        # A whole batch amortizes one backend dispatch: the hints say
-        # so (batch_width), which is what lets an "auto" engine justify
-        # spinning up its process pool for DP-heavy measures.
-        task_outcomes, timings = self.context.engine.run(
-            tasks, hints=self._workload_hints(len(tasks),
-                                              batch_width=len(queries)))
-        # FIFO is the fail-fast comparison path: no planner sits above
-        # it to re-enqueue failed partitions, so a terminal task
-        # failure raises instead of degrading.
-        outputs = require_results(task_outcomes)
-        wall = time.perf_counter() - start
-
-        report = BatchPlanReport(mode="batch-fifo",
-                                 num_queries=len(queries),
-                                 wave_size=len(parts),
-                                 tasks_dispatched=len(tasks),
-                                 grouped_queries=len(tasks))
-        results = []
-        per_query = len(parts)
-        for qi in range(len(queries)):
-            partials = outputs[qi * per_query:(qi + 1) * per_query]
-            result = merge_top_k(partials, k)
-            wave = WaveReport(index=0, partitions=list(range(per_query)),
-                              dk_after=result.kth_distance())
-            wave.nodes_pruned = result.stats.nodes_pruned
-            wave.exact_refinements = result.stats.exact_refinements
-            plan = PlanReport(mode="batch-fifo", wave_size=per_query,
-                              order=list(range(per_query)),
-                              waves=[wave])
-            QueryPlanner._finalize_stats(result.stats, plan)
-            report.per_query.append(plan)
-            results.append(result)
-        schedule = simulate_schedule(timings, self.cluster_spec)
-        return BatchOutcome(results=results, wall_seconds=wall,
-                            simulated_seconds=schedule.makespan,
-                            schedule=schedule, plan=report)
 
     def range_query(self, query: Trajectory, radius: float,
                     plan: str | None = None,
@@ -1112,7 +1015,7 @@ class Repose(DistributedTopK):
         """Driver computes the query-pivot distances once (pivots are
         global) and shares them with every partition's local search
         (paper, Section IV-D).  Routing this through the base class hook
-        covers single queries, scheduled batches and range queries, so
+        covers single queries, batches and range queries, so
         no partition ever recomputes ``dqp``.  A caller-supplied ``dqp``
         is respected without recomputation."""
         if (self.pivots and self.measure.is_metric
@@ -1126,8 +1029,8 @@ class Repose(DistributedTopK):
         results query ``i`` holds lie within ``dk_i + d(q_i, q_j)`` of
         query ``j`` by the triangle inequality, so that sum soundly
         upper-bounds ``j``'s final k-th best.  Non-metric measures
-        (DTW/EDR/LCSS) return None — they couple through the sampled
-        bound (:meth:`_sampled_bound_fn`) instead."""
+        (DTW/EDR/LCSS) return None — each such query is pruned by its
+        own bounds only."""
         if self.measure.is_metric:
             return self.measure.distance
         return None
@@ -1138,17 +1041,6 @@ class Repose(DistributedTopK):
         measure, not a metric (the planner restores soundness of the
         adopted plans per measure)."""
         return self.measure.distance
-
-    def _sampled_bound_fn(self) -> Callable | None:
-        """Sampled cross-query bound for the non-metric measures: a
-        banded (warp-window / eps-shift) upper bound on the measure's
-        distance (:func:`repro.distances.batch.banded_upper_bound`),
-        evaluated driver-side against a small shared candidate sample.
-        Metric measures return None — the triangle coupling of
-        :meth:`_query_distance_fn` is stronger and cheaper there."""
-        if self.measure.is_metric:
-            return None
-        return functools.partial(banded_upper_bound, self.measure)
 
     @classmethod
     def build(cls, dataset: TrajectoryDataset,  # type: ignore[override]
@@ -1183,9 +1075,7 @@ class Repose(DistributedTopK):
             controls partitions per wave;
             ``plan_options={"share_eps": eps}`` additionally lets
             :meth:`top_k_batch` share probe/wave plans and leaf
-            tensors between near-duplicate batch queries, and
-            ``{"sample_size": n}`` sizes the sampled non-metric
-            cross-query bound (0 disables).
+            tensors between near-duplicate batch queries.
         engine:
             Execution backend for per-partition work.  Accepts an
             :class:`~repro.cluster.engine.ExecutionEngine` or a backend

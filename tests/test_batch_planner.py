@@ -151,6 +151,18 @@ class TestBatchBitIdentity:
             engine.top_k_batch(skewed_dataset.trajectories[:2], 3,
                                plan="spiral")
 
+    def test_non_metric_batch_runs_uncoupled(self, skewed_dataset):
+        """A non-metric batch runs with per-query thresholds only — no
+        cross-query bound, no driver-side query distances."""
+        engine = _build(skewed_dataset, "dtw")
+        queries = [skewed_dataset.trajectories[i] for i in (0, 3, 7)]
+        batch = engine.top_k_batch(queries, 5)
+        assert batch.plan.cross_query_tightenings == 0
+        assert batch.plan.query_distance_calls == 0
+        for query, result in zip(queries, batch.results):
+            assert result.items == engine.top_k(
+                query, 5, plan="single").result.items
+
 
 class TestMultiQueryLocalSearch:
     @pytest.mark.parametrize("name", MEASURES)
@@ -215,6 +227,21 @@ class TestMultiQueryLocalSearch:
         shared.gather([1, 2])              # a was evicted: rebuilt
         assert store.calls == 4
 
+    def test_repeated_release_keeps_one_entry_per_label(
+            self, skewed_dataset):
+        """The persistent view outlives every call, so a share group
+        served batch after batch must not grow its release queue."""
+        from repro.core.search import _persistent_view
+        grid = Grid.fit(skewed_dataset.bounding_box(), 0.4)
+        trajs = skewed_dataset.trajectories[:10]
+        trie = RPTrie(grid, "hausdorff").build(trajs)
+        queries = [trajs[0], trajs[1]]
+        labels = [0, None]
+        for _ in range(1000):
+            local_search_multi(trie, queries, 1, share_groups=labels)
+        view = _persistent_view(trie.store)
+        assert len(view._released) <= len(set(labels))
+
 
 class TestRunningTopKVector:
     def _result(self, items, **stats):
@@ -234,6 +261,14 @@ class TestRunningTopKVector:
         vector = RunningTopKVector(2, k=1)
         vector.fold(0, [self._result([(1.0, 1)])])
         assert vector.broadcast_vector().tolist() == [1.0, float("inf")]
+
+    def test_broadcast_vector_folds_external_bounds(self):
+        vector = RunningTopKVector(2, k=1)
+        vector.fold(0, [TopKResult(items=[(4.0, 1)])])
+        thresholds = vector.broadcast_vector(np.array([2.0, 3.5]))
+        assert thresholds.tolist() == [2.0, 3.5]
+        # The merges themselves stay untouched.
+        assert vector.dk(0) == 4.0
 
     def test_stats_fold_field_generically_per_query(self):
         """merge_stats folding stays field-generic under multi-query
@@ -600,97 +635,6 @@ class TestNearDuplicateSharing:
                 query, 4, plan="single").result.items
 
 
-class TestSampledBounds:
-    def test_sampled_bound_tightens_non_metric_batches(self,
-                                                       skewed_dataset):
-        """DTW batches (no triangle inequality) still cross-tighten:
-        the sampled banded bound produces finite sibling thresholds."""
-        rng = np.random.default_rng(17)
-        engine = _build(skewed_dataset, "dtw")
-        base = [skewed_dataset.trajectories[i] for i in (0, 4, 8)]
-        jittered = [Trajectory(t.points + rng.normal(0, 1e-3,
-                                                     t.points.shape),
-                               traj_id=900 + i)
-                    for i, t in enumerate(base)]
-        queries = base + jittered
-        tightened = engine.top_k_batch(queries, 6, plan_options={
-            "share_eps": 1.0})
-        assert tightened.plan.sampled_tightenings > 0
-        assert tightened.plan.cross_query_tightenings == 0  # non-metric
-        for query, result in zip(queries, tightened.results):
-            assert result.items == engine.top_k(
-                query, 6, plan="single").result.items
-
-    def test_disabled_sampled_bound_is_a_noop_for_non_metric(
-            self, skewed_dataset):
-        """Boundary: with sample_size=0 a non-metric batch simply runs
-        with per-query thresholds — no error, no cross coupling."""
-        engine = _build(skewed_dataset, "dtw")
-        queries = [skewed_dataset.trajectories[i] for i in (0, 3, 7)]
-        batch = engine.top_k_batch(queries, 5,
-                                   plan_options={"sample_size": 0})
-        assert batch.plan.sampled_tightenings == 0
-        assert batch.plan.cross_query_tightenings == 0
-        for query, result in zip(queries, batch.results):
-            assert result.items == engine.top_k(
-                query, 5, plan="single").result.items
-
-    def test_small_sample_size_is_raised_to_k_not_disabled(self):
-        """A configured sample_size below k is clamped up to k (only 0
-        disables the bound, as documented)."""
-        planner = BatchQueryPlanner(ExecutionEngine(),
-                                    sampled_bound=lambda a, b: 1.0,
-                                    sample_size=3)
-        merges = RunningTopKVector(1, k=5)
-        merges.fold(0, [TopKResult(items=[(0.1, 1), (0.2, 2), (0.3, 3),
-                                          (0.4, 4), (0.5, 5)])])
-        lookup = {tid: np.zeros((1, 2)) for tid in (1, 2, 3, 4, 5)}
-        queries = [Trajectory([(0.0, 0.0)], traj_id=1)]
-        bounds = planner._sampled_bounds(queries, [0], 5, merges, lookup)
-        assert bounds is not None and bounds[0] == pytest.approx(1.0)
-        # With fewer than k distinct candidates found, no bound exists.
-        sparse = RunningTopKVector(1, k=5)
-        sparse.fold(0, [TopKResult(items=[(0.1, 1), (0.2, 2)])])
-        assert planner._sampled_bounds(queries, [0], 5, sparse,
-                                       lookup) is None
-        # sample_size=0 is the only off switch.
-        off = BatchQueryPlanner(ExecutionEngine(),
-                                sampled_bound=lambda a, b: 1.0,
-                                sample_size=0)
-        assert off._sampled_bounds(queries, [0], 5, merges,
-                                   lookup) is None
-
-    def test_sampled_bounds_take_kth_smallest_upper_bound(self):
-        queries = [Trajectory([(0.0, 0.0)], traj_id=1)]
-        planner = BatchQueryPlanner(
-            ExecutionEngine(),
-            sampled_bound=lambda a, b: float(b[0, 0]))
-        merges = RunningTopKVector(1, k=2)
-        merges.fold(0, [TopKResult(items=[(1.0, 10), (2.0, 11),
-                                          (3.0, 12)])])
-        lookup = {10: np.array([[7.0, 0.0]]),
-                  11: np.array([[5.0, 0.0]]),
-                  12: np.array([[9.0, 0.0]])}
-        bounds = planner._sampled_bounds(queries, [0], 2, merges, lookup)
-        # Upper bounds 7, 5, 9 -> 2nd smallest is 7.
-        assert bounds[0] == pytest.approx(7.0)
-
-    def test_broadcast_vector_folds_external_bounds(self):
-        vector = RunningTopKVector(2, k=1)
-        vector.fold(0, [TopKResult(items=[(4.0, 1)])])
-        thresholds = vector.broadcast_vector(np.array([2.0, 3.5]))
-        assert thresholds.tolist() == [2.0, 3.5]
-        # The merges themselves stay untouched.
-        assert vector.dk(0) == 4.0
-
-    def test_sample_items_dedupes_and_ranks(self):
-        vector = RunningTopKVector(2, k=3)
-        vector.fold(0, [TopKResult(items=[(1.0, 5), (2.0, 6)])])
-        vector.fold(1, [TopKResult(items=[(0.5, 6), (3.0, 7)])])
-        assert vector.sample_items(10) == [(0.5, 6), (1.0, 5), (3.0, 7)]
-        assert vector.sample_items(1) == [(0.5, 6)]
-
-
 class TestRunningTopKVectorBoundaries:
     def _scripted_parts(self):
         return [_ScriptedPart(_ScriptedIndex(0.0, [(1.0, 7)])),
@@ -752,12 +696,9 @@ class TestRunningTopKVectorBoundaries:
 
     def test_one_query_batch_pays_for_no_cross_query_machinery(
             self, skewed_dataset, monkeypatch):
-        """With one active query the sampled bound is a k-th upper
-        bound over the query's own held items — it can never undercut
-        its own dk — and a gather memo view can only miss: a width-1
-        DTW batch evaluates no banded bound, never walks the
-        partitions' trajectory lists and reads the tries' own stores."""
-        import repro.cluster.batch as batch_mod
+        """With one active query a gather memo view can only miss: a
+        width-1 DTW batch evaluates no query distance and reads the
+        tries' own stores."""
         import repro.core.search as search_mod
 
         def forbidden(*args, **kwargs):
@@ -766,13 +707,10 @@ class TestRunningTopKVectorBoundaries:
         engine = _build(skewed_dataset, "dtw")
         query = skewed_dataset.trajectories[3]
         expected = engine.top_k(query, 5, plan="single").result.items
-        monkeypatch.setattr(batch_mod, "_trajectory_points", forbidden)
         monkeypatch.setattr(search_mod, "_SharedGatherStore", forbidden)
         for queries in ([query], [query, query]):   # a twin stays inactive
             batch = engine.top_k_batch(queries, 5)
             assert len(batch.plan.per_query[0].waves) > 1
-            assert batch.plan.sampled_bound_calls == 0
-            assert batch.plan.sampled_tightenings == 0
             assert batch.plan.query_distance_calls == 0
             assert all(r.items == expected for r in batch.results)
 
@@ -815,49 +753,6 @@ class TestProbeCacheEpochRegression:
         for query, result in zip(queries, cold.results):
             assert result.items == engine.top_k(
                 query, 4, plan="single").result.items
-
-
-class TestScheduledBatchReport:
-    def test_fifo_path_reports_through_batch_plan_report(
-            self, skewed_dataset):
-        """Satellite: top_k_batch_scheduled no longer bypasses
-        BatchPlanReport — Section V-A accounting comes with it."""
-        engine = _build(skewed_dataset, "hausdorff")
-        queries = skewed_dataset.trajectories[:3]
-        batch = engine.top_k_batch_scheduled(queries, 5)
-        report = batch.plan
-        assert report is not None and report.mode == "batch-fifo"
-        assert report.num_queries == 3
-        assert report.tasks_dispatched == 3 * 12
-        assert report.grouped_queries == report.tasks_dispatched
-        assert report.partition_queries_dispatched == 3 * 12
-        assert report.partitions_skipped == 0
-        assert report.queries_deduplicated == 0
-        for plan, result in zip(report.per_query, batch.results):
-            assert plan.mode == "batch-fifo"
-            assert [w.partitions for w in plan.waves] == [list(range(12))]
-            assert result.stats.waves == 1
-            assert (plan.waves[0].exact_refinements
-                    == result.stats.exact_refinements)
-            assert plan.waves[0].dk_after == result.kth_distance()
-
-    def test_plan_fifo_routes_to_scheduled(self, skewed_dataset):
-        engine = _build(skewed_dataset, "hausdorff")
-        queries = skewed_dataset.trajectories[:2]
-        batch = engine.top_k_batch(queries, 4, plan="fifo")
-        assert batch.plan is not None and batch.plan.mode == "batch-fifo"
-        for query, result in zip(queries, batch.results):
-            assert result.items == engine.top_k(
-                query, 4, plan="single").result.items
-
-    def test_plan_fifo_rejects_plan_options(self, skewed_dataset):
-        """The FIFO path shares nothing, so options that would be
-        silently dropped are rejected (mirrors the CLI check)."""
-        engine = _build(skewed_dataset, "hausdorff")
-        with pytest.raises(ValueError, match="fifo"):
-            engine.top_k_batch(skewed_dataset.trajectories[:2], 3,
-                               plan="fifo",
-                               plan_options={"share_eps": 1.0})
 
 
 class TestSchedulerFeedback:

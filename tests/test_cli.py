@@ -132,27 +132,18 @@ class TestQuery:
         assert "near-duplicate sharing (eps=100)" in out
         assert "share groups" in out
 
-    def test_batch_fifo_plan_reports(self, csv_dataset, capsys):
-        assert main(["query", str(csv_dataset), "--k", "2",
-                     "--partitions", "4", "--delta", "0.15",
-                     "--batch", "2", "--plan", "fifo"]) == 0
-        assert "batch plan (batch-fifo):" in capsys.readouterr().out
-
-    def test_fifo_and_share_eps_require_batch(self, csv_dataset, capsys):
-        assert main(["query", str(csv_dataset), "--plan", "fifo"]) == 2
-        assert "--batch" in capsys.readouterr().err
+    def test_share_eps_requires_batch(self, csv_dataset, capsys):
         assert main(["query", str(csv_dataset),
                      "--share-eps", "0.5"]) == 2
         assert "--batch" in capsys.readouterr().err
 
     def test_share_eps_rejected_on_non_waved_plans(self, csv_dataset,
                                                    capsys):
-        """--share-eps on the fifo/single batch paths would be
-        silently ignored, so it is rejected outright."""
-        for plan in ("fifo", "single"):
-            assert main(["query", str(csv_dataset), "--batch", "2",
-                         "--plan", plan, "--share-eps", "0.5"]) == 2
-            assert "waved batch plan" in capsys.readouterr().err
+        """--share-eps on the single batch path would be silently
+        ignored, so it is rejected outright."""
+        assert main(["query", str(csv_dataset), "--batch", "2",
+                     "--plan", "single", "--share-eps", "0.5"]) == 2
+        assert "waved batch plan" in capsys.readouterr().err
 
     def test_batch_single_plan_has_no_report(self, csv_dataset, capsys):
         assert main(["query", str(csv_dataset), "--k", "2",

@@ -262,7 +262,7 @@ class TestAutoBackend:
 
     def test_gil_heavy_work_goes_to_processes(self):
         hints = WorkloadHints(measure="lcss", partition_points=10**6,
-                              num_tasks=16, batch_width=8)
+                              num_tasks=16, queries_per_task=8)
         assert choose_backend(hints) == "process"
 
     def test_warm_pool_lowers_the_process_bar(self):
@@ -284,7 +284,7 @@ class TestAutoBackend:
     def test_auto_falls_back_to_threads_on_unpicklable_tasks(self):
         engine = ExecutionEngine("auto", max_workers=2)
         hints = WorkloadHints(measure="lcss", partition_points=10**6,
-                              num_tasks=2, batch_width=8)
+                              num_tasks=2, queries_per_task=8)
         assert choose_backend(hints) == "process"
         outcomes, _ = engine.run([lambda: 1, lambda: 2], hints=hints)
         assert require_results(outcomes) == [1, 2]
@@ -296,7 +296,7 @@ class TestAutoBackend:
         # unpicklable one is retried on threads (no duplicated work).
         engine = ExecutionEngine("auto", max_workers=2)
         hints = WorkloadHints(measure="lcss", partition_points=10**6,
-                              num_tasks=3, batch_width=8)
+                              num_tasks=3, queries_per_task=8)
         tasks = [_SquareTask(3), lambda: 99, _SquareTask(5)]
         outcomes, timings = engine.run(tasks, hints=hints)
         assert require_results(outcomes) == [9, 99, 25]
@@ -313,7 +313,7 @@ class TestAutoBackend:
 
     def test_auto_never_changes_distributed_results(self):
         # The acceptance regression: backend auto-selection is a pure
-        # placement decision; top-k and scheduled-batch results must be
+        # placement decision; top-k and batch results must be
         # identical to the serial engine's.
         from repro.repose import Repose
         from repro.types import Trajectory, TrajectoryDataset
@@ -332,8 +332,8 @@ class TestAutoBackend:
             for query in queries:
                 assert (auto.top_k(query, 7).result.items
                         == serial.top_k(query, 7).result.items)
-            batch_auto = auto.top_k_batch_scheduled(queries, 5)
-            batch_serial = serial.top_k_batch_scheduled(queries, 5)
+            batch_auto = auto.top_k_batch(queries, 5)
+            batch_serial = serial.top_k_batch(queries, 5)
             assert ([r.items for r in batch_auto.results]
                     == [r.items for r in batch_serial.results])
             radius = serial.top_k(queries[0], 5).result.kth_distance()

@@ -495,7 +495,7 @@ class TestEngineWaves:
     def test_run_waves_rederives_num_tasks(self):
         engine = ExecutionEngine("auto")
         hints = WorkloadHints(measure="hausdorff", partition_points=10,
-                              num_tasks=999, batch_width=1)
+                              num_tasks=999)
         engine.run_waves([[lambda: 1]], hints=hints)
         # A single-task wave must resolve serial despite stale hints.
         assert engine.last_backend == "serial"
@@ -524,7 +524,7 @@ class TestCalibration:
     def test_calibrated_rate_overrides_cost_table(self):
         engine = ExecutionEngine("auto")
         hints = WorkloadHints(measure="hausdorff", partition_points=2000,
-                              num_tasks=8, batch_width=4)
+                              num_tasks=8, queries_per_task=4)
         assert choose_backend(hints) == "thread"
         # A measured rate of ~0 pushes the same workload under the
         # serial cutoff.

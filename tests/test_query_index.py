@@ -7,18 +7,14 @@ return exactly what a brute-force scan in insertion order would.  The
 tests here pin that contract under all six measures (metric routing
 for Hausdorff/Frechet/ERP, linear degradation for DTW/EDR/LCSS),
 content-identical twins, overflow buckets, budgets, and the shared
-pair cache, plus the :class:`IncrementalSampledBounds` memoization.
+pair cache.
 """
 
 import numpy as np
 import pytest
 
 import repro.cluster.query_index as qi_module
-from repro.cluster.query_index import (
-    IncrementalSampledBounds,
-    QueryIndex,
-    content_key,
-)
+from repro.cluster.query_index import QueryIndex, content_key
 from repro.distances import get_measure
 from repro.types import Trajectory
 
@@ -357,39 +353,6 @@ def test_content_key_fingerprints_point_arrays():
     assert content_key(traj) != content_key(other)
     assert content_key("scripted-query") is None
     assert content_key(None) is None
-
-
-def test_incremental_sampled_bounds_memoizes_values_and_epochs():
-    """value() is computed once per (query, candidate) forever; kth()
-    is computed once per sample epoch and recomputed on epoch change."""
-    calls = []
-
-    def bound(a, b):
-        calls.append((float(a[0][0]), float(b[0][0])))
-        return abs(float(a[0][0]) - float(b[0][0]))
-
-    cache = IncrementalSampledBounds(bound)
-    q = np.array([[1.0, 0.0]])
-    sample = [(10, np.array([[4.0, 0.0]])), (11, np.array([[2.0, 0.0]])),
-              (12, np.array([[9.0, 0.0]]))]
-
-    assert cache.value(0, q, 10, sample[0][1]) == 3.0
-    assert cache.value(0, q, 10, sample[0][1]) == 3.0
-    assert cache.calls == len(calls) == 1
-
-    assert cache.kth(0, q, sample, 2, epoch=0) == 3.0
-    assert cache.calls == 3  # two new pairs; (0, 10) served from cache
-    assert cache.kth(0, q, sample, 2, epoch=0) == 3.0
-    assert cache.calls == 3  # same epoch: selection memo, no work
-
-    # Epoch change re-selects but every pair value is already cached.
-    assert cache.kth(0, q, sample, 1, epoch=1) == 1.0
-    assert cache.calls == 3
-
-    # A different query pays its own values.
-    q2 = np.array([[8.0, 0.0]])
-    assert cache.kth(1, q2, sample, 1, epoch=1) == 1.0
-    assert cache.calls == 6
 
 
 def test_insertion_order_is_deterministic_across_rebuilds():

@@ -202,7 +202,7 @@ class TestDriverSidePivotDistances:
     def test_batch_scheduled_forwards_dqp(self, engine, small_dataset):
         query = small_dataset.trajectories[5]
         single = engine.top_k(query, 5)
-        batch = engine.top_k_batch_scheduled([query], 5)
+        batch = engine.top_k_batch([query], 5)
         assert batch.results[0].items == single.result.items
         # Without forwarding, every partition would recompute the
         # query-pivot distances (num_pivots per partition).

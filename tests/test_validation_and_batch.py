@@ -40,7 +40,7 @@ class TestBatchScheduling:
         engine = Repose.build(small_dataset, measure="hausdorff", delta=0.5,
                               num_partitions=4)
         queries = small_dataset.trajectories[:3]
-        batch = engine.top_k_batch_scheduled(queries, k=5)
+        batch = engine.top_k_batch(queries, k=5)
         assert len(batch.results) == 3
         for query, batched in zip(queries, batch.results):
             single = engine.top_k(query, 5).result
@@ -54,17 +54,17 @@ class TestBatchScheduling:
         engine = Repose.build(small_dataset, measure="hausdorff", delta=0.5,
                               num_partitions=4, cluster_spec=spec)
         queries = small_dataset.trajectories[:4]
-        batch = engine.top_k_batch_scheduled(queries, k=5)
+        batch = engine.top_k_batch(queries, k=5)
         assert batch.simulated_seconds > 0
         assert 0.0 < batch.utilization <= 1.0
 
     def test_batch_schedules_all_tasks(self, small_dataset):
-        """Each batch schedules queries x partitions tasks; total busy
-        time across cores equals the schedule's total work."""
+        """Every dispatched task lands on some core: total busy time
+        across cores equals the schedule's total work."""
         spec = ClusterSpec(1, 2)
         engine = Repose.build(small_dataset, measure="hausdorff", delta=0.5,
                               num_partitions=4, cluster_spec=spec)
-        batch = engine.top_k_batch_scheduled(
+        batch = engine.top_k_batch(
             small_dataset.trajectories[:8], k=5)
         assert len(batch.results) == 8
         schedule = batch.schedule
