@@ -71,7 +71,7 @@ def _batch_cell(measure_name: str, workload) -> dict:
     """Per-query waved vs batched counters for one measure."""
     engine = Repose.build(workload.dataset, measure=measure_name,
                           delta=workload.delta,
-                          num_partitions=NUM_PARTITIONS,
+                          num_partitions=NUM_PARTITIONS, plan="waves",
                           plan_options={"wave_size": WAVE_SIZE})
     queries = _skewed_queries(workload, NUM_QUERIES)
     cache = engine.context.probe_cache

@@ -83,7 +83,7 @@ def test_report_faults():
     engine = Repose.build(workload.dataset, measure="dtw",
                           delta=workload.delta * 2,
                           num_partitions=NUM_PARTITIONS,
-                          engine="thread")
+                          engine="thread", plan="waves")
     queries = _skewed_queries(workload)
 
     reference = [engine.top_k(q, K, plan="single").result.items

@@ -55,7 +55,7 @@ def _planner_cell(measure_name: str, workload) -> dict:
     """Single-shot vs waved counters for one measure."""
     engine = Repose.build(workload.dataset, measure=measure_name,
                           delta=workload.delta,
-                          num_partitions=NUM_PARTITIONS,
+                          num_partitions=NUM_PARTITIONS, plan="waves",
                           plan_options={"wave_size": WAVE_SIZE})
     queries = _skewed_queries(workload, NUM_QUERIES)
 

@@ -1,7 +1,8 @@
 """BENCH_service — the always-on serving layer's cost and payoff.
 
 Measures two things about :class:`~repro.cluster.service.ReposeService`
-on a T-drive-like Hausdorff workload:
+on a T-drive-like Hausdorff workload, under the engine's default plan
+(on this machine: one RP-Trie):
 
 * **Hot-query payoff.**  A stream of distinct queries is served twice
   through one service in small micro-batches (``max_batch`` forces
@@ -10,14 +11,14 @@ on a T-drive-like Hausdorff workload:
   from its own stored final threshold.  Recorded per pass: exact
   refinements (summed from per-request outcomes), leaf tensor builds,
   request latency percentiles on the service's own clock, and the
-  registry counters.  Both passes are asserted bit-identical to
-  ``plan="single"``.
+  registry counters.  Both passes are asserted bit-identical to direct
+  ``engine.top_k`` calls under the same plan.
 
 * **Front-end overhead.**  A stream of *unique* queries (no reuse for
   the registry to exploit) is submitted all at once to a service with
   ``max_batch >= N`` — one admission-queue pass, one cut, one
   ``top_k_batch`` — and timed against calling ``engine.top_k_batch``
-  directly on the same queries.  The probe-cache epoch is bumped
+  directly on the same queries, under the same plan.  The probe-cache epoch is bumped
   before every timed run so each measurement starts cache-cold; the
   best of ``REPEATS`` runs is kept for both paths.
 
@@ -67,7 +68,7 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 
 def _gather_calls(engine) -> int:
-    """Total leaf tensor builds across every partition's store."""
+    """Total leaf tensor builds across the searched stores."""
     return sum(index.trie.store.gather_calls
                for index in engine.local_indexes())
 
@@ -80,7 +81,7 @@ async def _serve_stream(engine, service, queries, reference) -> dict:
     futures = [await service.submit(query, K) for query in queries]
     outcomes = await asyncio.gather(*futures)
     for outcome, expected in zip(outcomes, reference):
-        assert outcome.result.items == expected, "served != single"
+        assert outcome.result.items == expected, "served != direct"
         refinements.append(outcome.result.stats.exact_refinements)
     latencies = sorted(service.stats.latencies[latency_base:])
     return {
@@ -93,8 +94,7 @@ async def _serve_stream(engine, service, queries, reference) -> dict:
 
 def _hot_stream_cell(engine, queries) -> dict:
     """Cold vs registry-warm replay of one stream through one service."""
-    reference = [engine.top_k(query, K, plan="single").result.items
-                 for query in queries]
+    reference = [engine.top_k(query, K).result.items for query in queries]
 
     async def run_cell():
         service = engine.serve(max_wait_ms=MAX_WAIT_MS,
@@ -121,16 +121,15 @@ def _hot_stream_cell(engine, queries) -> dict:
 
 def _unique_stream_cell(engine, queries) -> dict:
     """Service front-end vs direct ``top_k_batch`` on unique queries."""
-    reference = [engine.top_k(query, K, plan="single").result.items
-                 for query in queries]
+    reference = [engine.top_k(query, K).result.items for query in queries]
 
     def timed_direct() -> float:
         engine.context.probe_cache.bump_epoch()
         started = time.perf_counter()
-        outcome = engine.top_k_batch(queries, K, plan="waves")
+        outcome = engine.top_k_batch(queries, K)
         elapsed = time.perf_counter() - started
         for result, expected in zip(outcome.results, reference):
-            assert result.items == expected, "direct != single"
+            assert result.items == expected, "batch != top_k"
         return elapsed
 
     def timed_service() -> float:
@@ -147,7 +146,7 @@ def _unique_stream_cell(engine, queries) -> dict:
                 outcomes = await asyncio.gather(*futures)
                 elapsed = time.perf_counter() - started
             for outcome, expected in zip(outcomes, reference):
-                assert outcome.result.items == expected, "served != single"
+                assert outcome.result.items == expected, "served != direct"
             return elapsed
 
         return asyncio.run(run_pass())

@@ -39,7 +39,7 @@ def main() -> None:
     for strategy in ("heterogeneous", "homogeneous", "random"):
         engine = Repose.build(data, measure="hausdorff", delta=1.0,
                               num_partitions=16, strategy=strategy,
-                              cluster_spec=spec)
+                              cluster_spec=spec, plan="waves")
         ratios, makespans, utils = [], [], []
         for query in queries:
             outcome = engine.top_k(query, k=10)

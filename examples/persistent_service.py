@@ -3,18 +3,19 @@
 
 Simulates how a deployment would actually run REPOSE as a service:
 
-1. build a distributed engine over yesterday's trajectories;
+1. build an engine over yesterday's trajectories (one RP-Trie on this
+   machine);
 2. start a :class:`~repro.cluster.service.ReposeService` — an asyncio
    admission queue that micro-batches single top-k requests into
-   coordinated ``top_k_batch`` waves on the persistent engine pools;
+   ``top_k_batch`` calls;
 3. stream a bursty request mix of hot (recurring) and cold queries —
    recurring queries hit the cross-batch hot-query registry and start
    their search under their previous final threshold;
 4. stream today's new trajectories in mid-traffic with barrier
    ``insert()``s (each one rolls the index epoch, invalidating the
    registry so no request is served stale state);
-5. verify served answers are bit-identical to one-shot
-   ``plan="single"`` queries.
+5. verify served answers are bit-identical to direct ``top_k`` calls
+   at the same index state.
 """
 
 import asyncio
@@ -75,28 +76,28 @@ def main() -> None:
     k = 5
 
     # Reference answers at the pre-insert index state, computed before
-    # any traffic runs (the one-shot single plan touches no registry).
-    pre = {q.traj_id: engine.top_k(q, k, plan="single").result.items
+    # any traffic runs (a direct top_k touches no registry).
+    pre = {q.traj_id: engine.top_k(q, k).result.items
            for q in hot + cold}
 
     service, outcomes, afternoon = asyncio.run(
         serve_traffic(engine, hot, cold, today, k))
 
-    # Verify: every served answer must be bit-identical to a one-shot
-    # single-plan query at the same index state.
+    # Verify: every served answer must be bit-identical to a direct
+    # query at the same index state.
     morning = hot + cold + hot
     morning_ok = all(outcome.result.items == pre[query.traj_id]
                      for query, outcome in zip(morning, outcomes))
     print(f"morning burst ({len(morning)} requests): "
           f"{'verified bit-identical' if morning_ok else 'MISMATCH'} "
-          f"against plan='single' (pre-insert)")
-    post = {q.traj_id: engine.top_k(q, k, plan="single").result.items
+          f"against direct top_k (pre-insert)")
+    post = {q.traj_id: engine.top_k(q, k).result.items
             for q in hot}
     verified = all(outcome.result.items == post[query.traj_id]
                    for query, outcome in zip(hot, afternoon))
     print(f"afternoon recurrences: "
           f"{'verified bit-identical' if verified else 'MISMATCH'} "
-          f"against plan='single' (post-insert)")
+          f"against direct top_k (post-insert)")
 
     stats = service.stats
     registry = service.registry.counters()

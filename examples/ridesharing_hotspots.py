@@ -49,7 +49,7 @@ def main() -> None:
     for strategy in ("heterogeneous", "homogeneous"):
         engine = Repose.build(data, measure="hausdorff", delta=0.01,
                               num_partitions=16, strategy=strategy,
-                              cluster_spec=spec)
+                              cluster_spec=spec, plan="single")
         outcomes = [engine.top_k(query, 10, plan="single")
                      for query in queries]
         makespan = sum(outcome.simulated_seconds for outcome in outcomes)

@@ -82,12 +82,15 @@ class ExperimentHarness:
     # -- engine builders -----------------------------------------------------
 
     def build_repose(self, **overrides) -> Repose:
-        """Build a REPOSE engine with the workload's parameters."""
+        """Build a REPOSE engine with the workload's parameters, on the
+        paper's distributed plan (its simulated times are what the
+        experiments compare with the baselines')."""
         options = {
             "measure": self.measure,
             "delta": self.workload.delta,
             "num_partitions": self.num_partitions,
             "cluster_spec": self.cluster_spec,
+            "plan": "waves",
         }
         options.update(overrides)
         return Repose.build(self.workload.dataset, **options)

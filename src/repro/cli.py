@@ -60,10 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--radius", type=float, default=None,
                        help="run a range query instead of top-k")
     query.add_argument("--plan", default=None,
-                       choices=["waves", "single"],
-                       help="query execution plan: 'waves' (two-phase "
-                            "planner, the default) or 'single' "
-                            "(one-shot fan-out); results are identical")
+                       choices=["trie", "waves", "single"],
+                       help="query execution plan: 'trie' (one RP-Trie "
+                            "over the whole dataset, the default), or "
+                            "the distributed emulation: 'waves' "
+                            "(two-phase planner) or 'single' (one-shot "
+                            "fan-out); answers agree up to ties at the "
+                            "k-th distance")
     query.add_argument("--wave-size", type=int, default=None,
                        help="partitions per planner wave "
                             "(plan_options={'wave_size': N})")
@@ -101,10 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "tasks (first result wins); implies "
                             "--max-retries 2 when given alone")
     query.add_argument("--batch", type=int, default=None, metavar="N",
-                       help="run N sampled queries as one batch through "
-                            "the multi-query batch planner (with "
-                            "--plan single: sequentially) and print "
-                            "per-query top-1 plus batch statistics")
+                       help="run N sampled queries as one batch (with "
+                            "--plan waves: through the multi-query "
+                            "batch planner; with --plan single: "
+                            "sequentially) and print per-query top-1 "
+                            "plus batch statistics")
 
     serve = sub.add_parser(
         "serve", help="stream top-k requests through the always-on "
@@ -131,9 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "repeats exercise the cross-batch hot-query "
                             "registry (default 2)")
     serve.add_argument("--share-eps", type=float, default=None,
-                       help="near-duplicate sharing threshold for each "
-                            "micro-batch and for registry neighbor "
-                            "seeding")
+                       help="near-duplicate threshold for registry "
+                            "neighbor seeding")
 
     info = sub.add_parser("info", help="dataset statistics for a CSV file")
     info.add_argument("data")
@@ -211,10 +214,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("error: --share-eps applies to batches; combine it with "
               "--batch N", file=sys.stderr)
         return 2
-    if args.share_eps is not None and args.plan == "single":
+    if args.share_eps is not None and args.plan != "waves":
         print("error: --share-eps requires the waved batch plan "
-              "(--plan waves, the default); the single path does not "
-              "share work between queries", file=sys.stderr)
+              "(--plan waves); the other plans share no work between "
+              "the queries of one batch", file=sys.stderr)
         return 2
     data = load_csv(args.data)
     measure = get_measure(args.measure)
@@ -227,7 +230,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                           num_partitions=args.partitions,
                           strategy=args.strategy,
                           kernels=args.kernels,
-                          plan=args.plan or "waves",
+                          plan=args.plan,
                           plan_options=plan_options or None,
                           fault_policy=_fault_policy_from(args))
     if args.calibrate:
@@ -249,7 +252,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
               f"({measure.name}):")
     for rank, (dist, tid) in enumerate(outcome.result.items, start=1):
         print(f"  {rank:3d}. id {tid:6d}  distance {dist:.6f}")
-    if outcome.plan is not None:
+    if outcome.plan is not None and outcome.plan.mode == "trie":
+        print("plan: one trie")
+    elif outcome.plan is not None:
         print(f"plan: {len(outcome.plan.waves)} waves, "
               f"{outcome.plan.partitions_skipped} partitions skipped, "
               f"{outcome.plan.threshold_broadcasts} threshold broadcasts")
@@ -275,7 +280,10 @@ def _run_batch(engine: Repose, data, args: argparse.Namespace) -> int:
                 if result.items else "no results")
         print(f"  query {query.traj_id:6d}: {len(result)} results, "
               f"best {best}")
-    if batch.plan is not None:
+    if batch.plan is not None and batch.plan.mode == "batch-trie":
+        print(f"batch plan (batch-trie): one trie, "
+              f"{batch.plan.queries_deduplicated} deduplicated")
+    elif batch.plan is not None:
         report = batch.plan
         grouped = (report.grouped_queries / report.tasks_dispatched
                    if report.tasks_dispatched else 0.0)

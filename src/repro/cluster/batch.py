@@ -141,7 +141,8 @@ class BatchPlanReport:
     counts) stays as inspectable as it is for single queries.
     """
 
-    #: The plan that produced the report (``"batch-waves"``).
+    #: The plan that produced the report: ``"batch-waves"``, or
+    #: ``"batch-trie"`` for :meth:`BatchQueryPlanner.execute_local`.
     mode: str = "batch-waves"
     #: Queries in the batch.
     num_queries: int = 0
@@ -222,6 +223,20 @@ class BatchPlanReport:
 
 
 @dataclass
+class _RegistryPass:
+    """One batch's use of the hot-query registry: the seeds read before
+    the search and what is needed to store results back after it."""
+
+    #: Certified per-query seed thresholds (None when nothing seeded).
+    seeds: np.ndarray | None
+    #: query -> registry key, for the queries eligible to seed/store.
+    fingerprints: dict[int, bytes]
+    #: The registry epoch the batch started under; stores carry it.
+    epoch: int
+    stores_before: int
+
+
+@dataclass
 class _BatchRun:
     """One :meth:`BatchQueryPlanner.execute_batch` call's state, handed
     from step to step."""
@@ -245,12 +260,8 @@ class _BatchRun:
     share_label: dict[int, int | None]
     state: WaveState
     merges: RunningTopKVector
-    #: Certified per-query seed thresholds from the registry, if any.
-    seeds: np.ndarray | None = None
-    #: query -> registry key, for the queries eligible to seed/store.
-    fingerprints: dict[int, bytes] = field(default_factory=dict)
-    registry_epoch: int = 0
-    registry_stores_before: int = 0
+    #: The batch's hot-query registry pass (None: no registry).
+    registry: _RegistryPass | None = None
     #: VP-tree over the active queries behind triangle tightening,
     #: built by the first wave that can use it.
     cross_index: QueryIndex | None = None
@@ -403,7 +414,8 @@ class BatchQueryPlanner(QueryPlanner):
                               else None) for qi in active},
             state=state, merges=RunningTopKVector(len(queries), k))
         if self.registry is not None:
-            self._registry_seeds(run)
+            run.registry = self._registry_seeds(queries, kwargs_list,
+                                                active, k, report)
         _, wave_timings = self.engine.run_waves(
             self._wave_stream(state,
                               functools.partial(self._wave_tasks, run)),
@@ -609,7 +621,9 @@ class BatchQueryPlanner(QueryPlanner):
             return None
         return ProbeCache.fingerprint(query, kwargs.get("dqp"))
 
-    def _registry_seeds(self, run: _BatchRun) -> None:
+    def _registry_seeds(self, queries: Sequence,
+                        kwargs_list: Sequence[dict], active: Sequence[int],
+                        k: int, report: BatchPlanReport) -> _RegistryPass:
         """Seed thresholds from the cross-batch hot-query registry.
 
         Snapshots the registry epoch *before* the waves (results are
@@ -637,22 +651,23 @@ class BatchQueryPlanner(QueryPlanner):
         Every seed upper-bounds the query's *final* k-th best, and is
         applied downstream through the same strict (``>``) skip and
         ``nextafter`` search cutoff as any other threshold, so seeded
-        results stay bit-identical to cold ones.  Leaves ``run.seeds``
-        None when nothing seeded.
+        results stay bit-identical to cold ones.  The returned pass's
+        ``seeds`` is None when nothing seeded.
         """
-        registry, report, k = self.registry, run.report, run.k
-        run.registry_epoch = registry.epoch
-        run.registry_stores_before = getattr(registry, "stores", 0)
-        seeds = np.full(len(run.queries), np.inf)
+        registry = self.registry
+        seeds = np.full(len(queries), np.inf)
+        fingerprints: dict[int, bytes] = {}
+        registry_pass = _RegistryPass(
+            seeds=None, fingerprints=fingerprints, epoch=registry.epoch,
+            stores_before=getattr(registry, "stores", 0))
         can_neighbor = (self.share_eps is not None
                         and self._share_distance_is_metric)
-        for qi in run.active:
-            query = run.queries[qi]
-            fingerprint = self._registry_fingerprint(query,
-                                                     run.kwargs_list[qi])
+        for qi in active:
+            query = queries[qi]
+            fingerprint = self._registry_fingerprint(query, kwargs_list[qi])
             if fingerprint is None:
                 continue
-            run.fingerprints[qi] = fingerprint
+            fingerprints[qi] = fingerprint
             entry = registry.get(fingerprint, k)
             if entry is not None:
                 seeds[qi] = entry.threshold(k)
@@ -673,7 +688,23 @@ class BatchQueryPlanner(QueryPlanner):
                     registry, "neighbor_hits", 0) + 1
                 report.registry_neighbor_seeds += 1
         if np.isfinite(seeds).any():
-            run.seeds = seeds
+            registry_pass.seeds = seeds
+        return registry_pass
+
+    def _registry_store(self, registry_pass: _RegistryPass,
+                        queries: Sequence, results: Sequence[TopKResult],
+                        k: int, report: BatchPlanReport) -> None:
+        """Persist exact, fully-answered results for later batches,
+        stamped with the batch-start epoch so entries raced by a
+        concurrent write never enter circulation."""
+        for qi, fingerprint in registry_pass.fingerprints.items():
+            if (report.per_query[qi].exact
+                    and len(results[qi].items) >= k):
+                self.registry.put(fingerprint, queries[qi],
+                                  results[qi].items,
+                                  epoch=registry_pass.epoch)
+        report.registry_stores = (getattr(self.registry, "stores", 0)
+                                  - registry_pass.stores_before)
 
     # -- step: build-wave ----------------------------------------------------
 
@@ -685,7 +716,7 @@ class BatchQueryPlanner(QueryPlanner):
         holds: registry seeds (sound in every wave), and — between two
         or more active queries — this wave's triangle bounds.
         """
-        bounds = run.seeds
+        bounds = run.registry.seeds if run.registry is not None else None
         if run.coupled:
             extra = self._triangle_bounds(run, run.merges.dk_vector())
             if extra is not None:
@@ -816,32 +847,78 @@ class BatchQueryPlanner(QueryPlanner):
             plan.exact = self._exactness(plan.failed_partitions,
                                          run.state.plans[qi][0],
                                          run.merges.dk(qi))
-        if self.registry is not None:
-            # Persist exact, fully-answered results for later batches;
-            # stamped with the batch-start epoch so entries raced by a
-            # concurrent write never enter circulation.
-            for qi, fingerprint in run.fingerprints.items():
-                if (report.per_query[qi].exact
-                        and len(results[qi].items) >= k):
-                    self.registry.put(fingerprint, run.queries[qi],
-                                      results[qi].items,
-                                      epoch=run.registry_epoch)
-            report.registry_stores = (getattr(self.registry, "stores", 0)
-                                      - run.registry_stores_before)
-        for qi, rep in enumerate(run.alias):
+        if run.registry is not None:
+            self._registry_store(run.registry, run.queries, results, k,
+                                 report)
+        self._copy_twins(run.alias, results, report)
+        for result, plan in zip(results, report.per_query):
+            self._finalize_stats(result.stats, plan)
+        return results
+
+    @staticmethod
+    def _copy_twins(alias: Sequence[int], results: list[TopKResult],
+                    report: BatchPlanReport) -> None:
+        """Hand every fingerprint twin its representative's answer.
+
+        Same points, same shared kwargs: the search's answer is a pure
+        function of both, so the twin's result is the representative's.
+        Fresh zero stats keep the batch's work accounting truthful
+        (nothing ran).  Degradation state is inherited the same way:
+        losing the representative's partitions lost the twin's too.
+        """
+        for qi, rep in enumerate(alias):
             if rep != qi:
-                # Same points, same shared kwargs: the search's answer
-                # is a pure function of both, so the twin's result is
-                # the representative's.  Fresh zero stats keep the
-                # batch's work accounting truthful (nothing ran).
-                # Degradation state is inherited the same way: losing
-                # the representative's partitions lost the twin's too.
                 results[qi] = TopKResult(items=list(results[rep].items),
                                          stats=SearchStats())
                 plan = report.per_query[qi]
                 plan.failed_partitions = list(
                     report.per_query[rep].failed_partitions)
                 plan.exact = report.per_query[rep].exact
-        for result, plan in zip(results, report.per_query):
-            self._finalize_stats(result.stats, plan)
-        return results
+
+    # -- the one-index plan --------------------------------------------------
+
+    def execute_local(self, search: Callable[[list, list[dict]],
+                                             list[TopKResult]],
+                      queries: Sequence, k: int,
+                      kwargs_list: Sequence[dict],
+                      ) -> tuple[list[TopKResult], BatchPlanReport]:
+        """Run a batch against one local index: no partitions, no
+        probes, no waves.
+
+        What stays of the loop above is what needs no partitions:
+        fingerprint twins are searched once (*dedup*), and with a
+        registry attached each remaining query is *registry-seeded*
+        and its exact result stored back.  ``search(queries,
+        kwargs_list)`` runs the distinct queries — a seed rides in as
+        the query's ``dk``, min-folded with a caller-supplied one — and
+        returns one :class:`~repro.core.search.TopKResult` each.  Every
+        answer is the unseeded search's, bit for bit (seeds are
+        certified and applied strictly).  Returns the per-query results
+        in input order and a report whose per-query plans are
+        ``mode="trie"`` with no waves.
+        """
+        report = BatchPlanReport(mode="batch-trie", num_queries=len(queries),
+                                 share_eps=self.share_eps)
+        alias = self._dedup(queries, kwargs_list, report)
+        active = [qi for qi, rep in enumerate(alias) if rep == qi]
+        report.per_query = [PlanReport(mode="trie", wave_size=0)
+                            for _ in queries]
+        registry_pass = None
+        search_kwargs = [kwargs_list[qi] for qi in active]
+        if self.registry is not None:
+            registry_pass = self._registry_seeds(queries, kwargs_list,
+                                                 active, k, report)
+            if registry_pass.seeds is not None:
+                search_kwargs = [
+                    {**kwargs, "dk": min(float(registry_pass.seeds[qi]),
+                                         kwargs.get("dk", float("inf")))}
+                    if math.isfinite(registry_pass.seeds[qi]) else kwargs
+                    for qi, kwargs in zip(active, search_kwargs)]
+        found = search([queries[qi] for qi in active], search_kwargs)
+        results: list[TopKResult] = [None] * len(queries)
+        for qi, result in zip(active, found):
+            results[qi] = result
+        if registry_pass is not None:
+            self._registry_store(registry_pass, queries, results, k, report)
+        self._copy_twins(alias, results, report)
+        return results, report

@@ -122,7 +122,8 @@ class PlanReport:
     """
 
     #: ``"waves"`` (the wave loop — a single query or one query of a
-    #: batch alike).
+    #: batch alike) or ``"trie"`` (one local RP-Trie: no probes, no
+    #: waves).
     mode: str
     #: Partitions per wave the plan was cut into.
     wave_size: int

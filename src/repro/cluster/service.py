@@ -30,8 +30,8 @@ This module supplies that front-end:
 Bit-identity is preserved end to end: seeds are *certified upper
 bounds* on each query's final k-th distance, applied through the same
 strict ``nextafter`` cutoff as every other threshold in the planner,
-so ties at ``dk`` survive and served results match ``plan="single"``
-exactly.
+so ties at ``dk`` survive and served results match an unseeded
+``top_k`` under the same plan exactly.
 
 Concurrency model: a single admission coroutine owns the queue.  It
 cuts one micro-batch at a time and awaits its execution (inline, or on
@@ -335,6 +335,10 @@ class ReposeService:
     service's :attr:`registry`, so recurring and near-duplicate
     queries across the stream start under near-final thresholds.
 
+    ``plan`` names the plan every batch runs under (default: the
+    engine's own — on a local REPOSE engine the one-trie plan, which
+    dedups twins and takes registry seeds as its searches' ``dk``).
+
     ``dispatch`` selects how batches execute: ``"thread"`` (default)
     runs each ``top_k_batch`` on a worker thread so the event loop
     stays responsive; ``"inline"`` runs it on the loop thread — fully
@@ -349,7 +353,7 @@ class ReposeService:
     """
 
     def __init__(self, engine, max_wait_ms: float = 2.0,
-                 max_batch: int = 16, plan: str = "waves",
+                 max_batch: int = 16, plan: str | None = None,
                  plan_options: dict | None = None,
                  registry: HotQueryRegistry | None = None,
                  registry_capacity: int = 512,

@@ -746,6 +746,15 @@ _BAND_MAX_FRAC = 1.0 / 4.0
 _DP_BATCH0 = 8
 _DP_BATCH_MAX = 64
 
+#: Candidates one refinement call gathers at most.  Longer candidate
+#: lists — a scan over a whole store, a pivot's column of the ``HR``
+#: table — are refined as consecutive slices of this many ids, so the
+#: gathered points and broadcast tensors stay the size of one
+#: partition's worth however large the store is.  Offered in ``tids``
+#: order into the same heap, the slices leave the heap bit-identical
+#: (:func:`refine_top_k`'s contract), and ``dk`` tightens between them.
+_REFINE_SLICE = 256
+
 #: Minimum screen survivors per chunk before the banded upper-bound
 #: sweep runs.  The sweep costs a near-constant number of numpy row (or
 #: diagonal) steps however many candidates it covers, so below this
@@ -1312,10 +1321,16 @@ def refine_top_k(measure: Measure, query: np.ndarray, tids: list[int],
     DPs of ``distances/{dtw,frechet,erp,edr,lcss}.py``: they are the
     tests' oracle.  ``kernels`` selects the DP backend
     (:mod:`repro.distances.kernels`); backends never change the heap,
-    only the speed.
+    only the speed.  A list longer than :data:`_REFINE_SLICE` is refined
+    slice by slice, in order, into the same heap.
     """
     count = len(tids)
     if count == 0:
+        return
+    if count > _REFINE_SLICE:
+        for lo in range(0, count, _REFINE_SLICE):
+            refine_top_k(measure, query, tids[lo:lo + _REFINE_SLICE], store,
+                         heap, stats=stats, kernels=kernels)
         return
     refiner = BatchRefiner(measure, query, store, tids, dk=heap.dk,
                            kernels=kernels)
@@ -1406,10 +1421,17 @@ def refine_range(measure: Measure, query: np.ndarray, tids: list[int],
     DP measures, through the ``kernels`` backend — so the surviving
     set and its distances are bit-identical (an early-abandoned DP
     value is ``>= cutoff > radius`` and never admits).  ``stats``
-    counts exact evaluations as in :func:`refine_top_k`.
+    counts exact evaluations as in :func:`refine_top_k`; a list longer
+    than :data:`_REFINE_SLICE` is refined slice by slice, in order.
     """
     matches: list[tuple[float, int]] = []
     if not tids:
+        return matches
+    if len(tids) > _REFINE_SLICE:
+        for lo in range(0, len(tids), _REFINE_SLICE):
+            matches += refine_range(measure, query,
+                                    tids[lo:lo + _REFINE_SLICE], store,
+                                    radius, stats=stats, kernels=kernels)
         return matches
     cutoff = float(np.nextafter(radius, np.inf))
     refiner = BatchRefiner(measure, query, store, tids, dk=cutoff,
@@ -1441,10 +1463,44 @@ def exact_distances(measure: Measure, query: np.ndarray, store,
                     tids: list[int], kernels: str | None = None,
                     ) -> np.ndarray:
     """``measure.distance(query, t)`` for every ``t`` of ``tids`` in
-    ``store``, bit for bit, from one gathered tensor and one kernel
-    call instead of one Python DP per trajectory (the query-to-pivot
-    distances of every search)."""
-    refiner = BatchRefiner(measure, query, store, tids, kernels=kernels)
-    if refiner.is_exact:
-        return refiner.bounds
-    return refiner.exact_batch(list(range(len(tids))))[0]
+    ``store``, bit for bit (the query-to-pivot distances of every
+    search, the pivot table of a build).  No screen and no threshold:
+    each :data:`_REFINE_SLICE` of ids is gathered once and its
+    length-sorted chunks go straight to the measure's exact kernel, so
+    memory stays bounded however many ids are asked for."""
+    out = np.empty(len(tids), dtype=np.float64)
+    for lo in range(0, len(tids), _REFINE_SLICE):
+        out[lo:lo + _REFINE_SLICE] = _exact_slice(
+            measure, query, store, tids[lo:lo + _REFINE_SLICE], kernels)
+    return out
+
+
+def _exact_slice(measure: Measure, query: np.ndarray, store,
+                 tids: list[int], kernels: str | None) -> np.ndarray:
+    """:func:`exact_distances` of one slice."""
+    name = measure.name
+    if name not in ("hausdorff", "frechet", "dtw", "erp", "edr", "lcss"):
+        # A measure registered from outside has no kernel.
+        return np.array([measure.distance(query, store.points_of(tid))
+                         for tid in tids], dtype=np.float64)
+    padded, lengths = store.gather(tids)
+    if name == "hausdorff":
+        return _tensor_bounds(name, query, padded, lengths)
+    kernel = getattr(get_kernels(kernels), f"{name}_exact")
+    gap = np.asarray(measure.params.get("gap", (0.0, 0.0)), dtype=np.float64)
+    query_gaps = np.hypot(query[:, 0] - gap[0], query[:, 1] - gap[1])
+    out = np.empty(len(tids), dtype=np.float64)
+    for rows in _length_sorted_chunks(lengths, len(query)):
+        chunk_lengths = lengths[rows]
+        chunk = padded[rows, :int(chunk_lengths.max())]
+        if name in ("edr", "lcss"):
+            args = (batch_match_tensor(query, chunk, _edit_eps(measure)),)
+        elif name == "erp":
+            # The same elementwise hypot terms as BatchRefiner's ERP DP.
+            args = (batch_point_distance_tensor(query, chunk), query_gaps,
+                    np.hypot(chunk[:, :, 0] - gap[0],
+                             chunk[:, :, 1] - gap[1]))
+        else:
+            args = (batch_point_distance_tensor(query, chunk),)
+        out[rows] = kernel(*args, chunk_lengths, dk=np.inf)[0]
+    return out

@@ -4,6 +4,12 @@ Mirrors the paper's Section V-C architecture: trajectories are globally
 partitioned, each partition is packaged together with its local index
 into an ``RpTraj`` record inside an RDD, ``mapPartitions`` builds and
 queries local indexes, and the driver merges per-partition top-k lists.
+That is the ``"waves"`` / ``"single"`` plans: the emulation of the
+paper's distributed setup.  On one machine (serial and thread engines)
+:class:`Repose` answers from *one* RP-Trie over every partition's
+trajectories instead — plan ``"trie"``, its default there — because the
+paper's bounds are per node (a subtree's cell path, ``Dmax`` and
+``HR``), so one trie is as sound as sixteen and far cheaper to search.
 
 The same machinery runs the baselines — DFT, DITA and LS implement the
 local-index interface — so every algorithm is measured on an identical
@@ -30,7 +36,8 @@ import numpy as np
 
 from .cluster.batch import BatchPlanReport, BatchQueryPlanner
 from .cluster.driver import merge_range, merge_top_k
-from .cluster.engine import ExecutionEngine, FaultPolicy, WorkloadHints
+from .cluster.engine import (ExecutionEngine, FaultPolicy, TaskTiming,
+                             WorkloadHints)
 from .cluster.planner import PlanReport
 from .cluster.rdd import ClusterContext
 from .cluster.scheduler import (
@@ -232,7 +239,8 @@ class QueryOutcome:
 
     ``plan`` carries the query planner's per-wave report (dispatch
     order, probe bounds, threshold broadcasts, per-wave pruned-node and
-    exact-refinement counts) for waved executions; it is ``None`` for
+    exact-refinement counts) for waved executions, a ``mode="trie"``
+    report without waves for one-trie executions, and is ``None`` for
     single-shot plans.  The same counters are also summed onto
     ``result.stats`` so existing stats plumbing reports them.
 
@@ -281,8 +289,9 @@ class BatchOutcome:
     .top_k_batch` with ``plan="waves"``) ``plan`` carries the
     :class:`~repro.cluster.batch.BatchPlanReport` — dispatched
     multi-query tasks, per-query wave accounting, probe, share-group
-    and cross-query threshold savings; the sequential
-    ``plan="single"`` path leaves it None.  The makespan and
+    and cross-query threshold savings; under the one-trie plan a
+    ``mode="batch-trie"`` report (dedup and registry counters); the
+    sequential ``plan="single"`` path leaves it None.  The makespan and
     utilization expose the resource waste that homogeneous
     partitioning causes when query load concentrates on a few
     partitions.
@@ -506,7 +515,8 @@ class DistributedTopK:
         :meth:`Repose.build` fills it in from its ``kernels``
         argument; never affects results, only backend placement.
     plan:
-        Query execution plan: ``"waves"`` (default) routes top-k
+        Query execution plan: ``"waves"`` (the default here; see
+        :class:`Repose` for its one-trie plan) routes top-k
         queries (single ones as a batch of one) and range queries
         through the two-phase wave planner
         (:mod:`repro.cluster.planner`, :mod:`repro.cluster.batch`) —
@@ -546,7 +556,7 @@ class DistributedTopK:
                  engine: ExecutionEngine | str | None = None,
                  measure_hint: str | None = None,
                  kernels_hint: str | None = None,
-                 plan: str = "waves",
+                 plan: str | None = None,
                  plan_options: dict | None = None,
                  fault_policy: FaultPolicy | None = None):
         self.dataset = dataset
@@ -562,15 +572,22 @@ class DistributedTopK:
             self.context.engine.fault_policy = fault_policy
         self.measure_hint = measure_hint
         self.kernels_hint = kernels_hint
-        self.plan = self._resolve_plan(plan)
+        self.plan = self._resolve_plan(plan or self._default_plan())
         self.plan_options = self._validate_plan_options(plan_options)
         self._partition_points: int | None = None
+        #: The driver's record of which trajectories each partition
+        #: holds (inserts included), set by :meth:`build`.
+        self._partitions: list[list[Trajectory]] | None = None
         self._rdd = None
         self._parts: list[RpTraj] | None = None
         self.build_report: BuildReport | None = None
         #: The serving front-end attached by ``build(service=...)``
         #: (see :meth:`serve`); None until one is requested.
         self.service = None
+
+    def _default_plan(self) -> str:
+        """The plan used when none is named: the paper's waves."""
+        return "waves"
 
     def _resolve_plan(self, plan: str | None) -> str:
         """Validate a plan name, defaulting to the engine-level plan."""
@@ -618,15 +635,38 @@ class DistributedTopK:
                              kernels=self.kernels_hint)
 
     def build(self) -> BuildReport:
-        """Partition the dataset and build one local index per partition."""
+        """Partition the dataset and build the local indexes the
+        default plan answers from (:meth:`_build_indexes`)."""
         start = time.perf_counter()
-        partitions = self.strategy(self.dataset, self.num_partitions)
-        self.context.hints = self._workload_hints(len(partitions))
-        base = self.context.from_partitions(partitions)
+        self._partitions = self.strategy(self.dataset, self.num_partitions)
+        timings = self._build_indexes()
+        wall = time.perf_counter() - start
+        # Fresh indexes invalidate every memoized planner probe.
+        self.context.probe_cache.bump_epoch()
+        schedule = simulate_schedule(timings, self.cluster_spec)
+        self.build_report = BuildReport(
+            wall_seconds=wall,
+            simulated_seconds=schedule.makespan,
+            index_bytes=self._index_bytes(),
+            partition_sizes=[len(p) for p in self._partitions],
+            schedule=schedule,
+        )
+        return self.build_report
+
+    def _build_indexes(self) -> list[TaskTiming]:
+        """Build what the default plan searches — here one local index
+        per partition — and return the build tasks' timings."""
+        return self._build_partitions()
+
+    def _build_partitions(self) -> list[TaskTiming]:
+        """One local index per partition, built through the engine."""
+        self.context.hints = self._workload_hints(len(self._partitions))
+        # Copies: the records' lists grow with inserts apart from the
+        # driver's own (under a process engine they are copies anyway).
+        base = self.context.from_partitions(
+            [list(part) for part in self._partitions])
         packaged = (base.map_partitions(_BuildPartition(self.index_factory))
                     .collect_partitions())
-        timings = self.context.last_timings
-        wall = time.perf_counter() - start
         # Re-wrap the built partitions so queries reuse the indexes, and
         # keep the flat driver-side list: the planner and scheduled
         # batches address partitions directly, without paying an engine
@@ -634,19 +674,25 @@ class DistributedTopK:
         # round-trip) just to re-materialize what the driver holds.
         self._rdd = self.context.from_partitions(packaged)
         self._parts = [rp for part in packaged for rp in part]
-        # Fresh indexes invalidate every memoized planner probe.
-        self.context.probe_cache.bump_epoch()
-        schedule = simulate_schedule(timings, self.cluster_spec)
-        index_bytes = sum(part[0].index.memory_bytes()
-                          for part in packaged if part)
-        self.build_report = BuildReport(
-            wall_seconds=wall,
-            simulated_seconds=schedule.makespan,
-            index_bytes=index_bytes,
-            partition_sizes=[len(p) for p in partitions],
-            schedule=schedule,
-        )
-        return self.build_report
+        return self.context.last_timings
+
+    def _index_bytes(self) -> int:
+        """Bytes of the local indexes that exist."""
+        return sum(rp.index.memory_bytes() for rp in self._parts or [])
+
+    def _require_built(self) -> None:
+        if self.build_report is None:
+            raise IndexNotBuiltError("call build() first")
+
+    def _require_parts(self) -> list[RpTraj]:
+        """The per-partition records, built on first use when the
+        default plan did not need them (their bytes then join
+        :meth:`index_bytes`)."""
+        self._require_built()
+        if self._parts is None:
+            self._build_partitions()
+            self.build_report.index_bytes = self._index_bytes()
+        return self._parts
 
     def _query_kwargs_for(self, query: Trajectory,
                           provided: dict | None = None) -> dict:
@@ -672,8 +718,7 @@ class DistributedTopK:
         lets :class:`Repose` share driver-computed query-pivot
         distances).
         """
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before top_k()")
+        self._require_parts()
         if self._resolve_plan(plan) == "waves":
             # A single query is a batch of one.
             return self._top_k_waves([query], k,
@@ -752,7 +797,7 @@ class DistributedTopK:
                        for query, kwargs in zip(queries, provided)]
         results, wave_timings, report = self._planner(
             options, registry).execute_batch(
-            self._parts, queries, k, kwargs_list,
+            self._require_parts(), queries, k, kwargs_list,
             make_task=lambda rp, group, kws, shares: _LocalMultiTopKTask(
                 rp, group, k, kws, share_groups=shares),
             hints=self._workload_hints(
@@ -783,9 +828,7 @@ class DistributedTopK:
         context so they outlive the engine.  Returns the measured
         per-point rate in microseconds.
         """
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before calibrate()")
-        parts = [rp for rp in self._parts if rp.trajectories]
+        parts = [rp for rp in self._require_parts() if rp.trajectories]
         if not parts:
             raise IndexNotBuiltError("cannot calibrate an empty dataset")
         rp = max(parts, key=lambda rp: sum(len(t) for t in rp.trajectories))
@@ -805,7 +848,7 @@ class DistributedTopK:
                     registry=None) -> BatchOutcome:
         """Run a batch of queries under one coordinated plan.
 
-        ``plan="waves"`` (the engine default) routes the whole batch
+        ``plan="waves"`` routes the whole batch
         through the wave loop :meth:`top_k` runs at width one
         (:class:`~repro.cluster.batch.BatchQueryPlanner`): every
         (query, partition) pair is probed once (served from the
@@ -836,8 +879,7 @@ class DistributedTopK:
         and exact results are stored back.  Only the ``"waves"`` plan
         consults it.
         """
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before batch queries")
+        self._require_parts()
         plan_options = self._validate_plan_options(plan_options)
         if self._resolve_plan(plan) == "waves":
             return self._top_k_waves(
@@ -871,8 +913,7 @@ class DistributedTopK:
         a fixed threshold, nothing propagates between waves); results
         are identical either way.
         """
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before range_query()")
+        self._require_parts()
         if self._resolve_plan(plan) == "waves":
             return self._range_waves(query, radius, query_kwargs)
         start = time.perf_counter()
@@ -921,15 +962,14 @@ class DistributedTopK:
                             failed_partitions=list(report.failed_partitions))
 
     def index_bytes(self) -> int:
-        if self.build_report is None:
-            raise IndexNotBuiltError("call build() first")
+        """Bytes of the local indexes built so far: the default plan's,
+        plus those another plan built on first use."""
+        self._require_built()
         return self.build_report.index_bytes
 
     def local_indexes(self) -> list[object]:
         """The per-partition local index objects, in partition order."""
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() first")
-        return [rp.index for rp in self._parts]
+        return [rp.index for rp in self._require_parts()]
 
     def insert(self, traj: Trajectory) -> None:
         """Route a new trajectory to the smallest partition and insert.
@@ -937,14 +977,16 @@ class DistributedTopK:
         Requires the local index to support incremental ``insert``
         (the RP-Trie adapter does).  Subsequent queries see the new
         trajectory; the build report's partition sizes are updated.
+        Partitions not built yet get it when they are.
         """
-        if self._rdd is None or self.build_report is None:
-            raise IndexNotBuiltError("call build() first")
+        self._require_built()
         sizes = self.build_report.partition_sizes
         target = min(range(len(sizes)), key=lambda pid: sizes[pid])
-        rp = self._parts[target]
-        rp.index.insert(traj)
-        rp.trajectories.append(traj)
+        if self._parts is not None:
+            rp = self._parts[target]
+            rp.index.insert(traj)
+            rp.trajectories.append(traj)
+        self._partitions[target].append(traj)
         sizes[target] += 1
         # The mutated partition's bounds changed: memoized probes for
         # every in-flight fingerprint are stale.
@@ -967,8 +1009,7 @@ class DistributedTopK:
         # Imported lazily: repro.cluster.service imports this module
         # for QueryOutcome, so a top-level import would be circular.
         from .cluster.service import ReposeService
-        if self._rdd is None:
-            raise IndexNotBuiltError("call build() before serve()")
+        self._require_built()
         return ReposeService(self, **service_options)
 
 
@@ -979,7 +1020,20 @@ class Repose(DistributedTopK):
 
         engine = Repose.build(dataset, measure="hausdorff", delta=0.15)
         outcome = engine.top_k(query, k=100)
+
+    Besides the partitioned plans, REPOSE has plan ``"trie"``: one
+    RP-Trie over the whole dataset — pivots and partitions stay global,
+    the trie's store lists the trajectories partition by partition —
+    answering top-k, batches, range queries and inserts in the driver
+    through the same :func:`~repro.core.search.local_search` family.
+    It is the default on a local (serial or thread) engine; whichever
+    structure the default plan does not use is built on first use.
     """
+
+    _PLANS = ("trie", "waves", "single")
+
+    #: Engine backends that run on this machine's one address space.
+    _LOCAL_BACKENDS = ("serial", "thread")
 
     def __init__(self, dataset: TrajectoryDataset, measure: Measure,
                  grid: Grid, **kwargs):
@@ -999,7 +1053,133 @@ class Repose(DistributedTopK):
             _make_rptrie_index, grid, measure, optimized, num_pivots,
             succinct, search_options, self._pivot_box)
         kwargs.setdefault("measure_hint", measure.name)
+        self._trie_index: RPTrieLocalIndex | None = None
         super().__init__(dataset, factory, **kwargs)
+
+    def _default_plan(self) -> str:
+        """One trie on a local engine; the paper's waves across
+        processes."""
+        return ("trie" if self.context.engine.backend in self._LOCAL_BACKENDS
+                else "waves")
+
+    # -- the one-trie plan ---------------------------------------------------
+
+    def _build_indexes(self) -> list[TaskTiming]:
+        """The one trie under plan ``"trie"``, else the partitions."""
+        self._trie_index = None
+        if self.plan != "trie":
+            return super()._build_indexes()
+        self._rdd = self._parts = None
+        start = time.perf_counter()
+        self._trie_index = self._build_trie()
+        return [TaskTiming(0, time.perf_counter() - start)]
+
+    def _build_trie(self) -> RPTrieLocalIndex:
+        """One RP-Trie over every partition's trajectories.  Its store
+        lists them partition by partition: a scan over it then gathers
+        what a scan over the partitions' stores would."""
+        index = self.index_factory()
+        index.build([t for part in self._partitions for t in part])
+        return index
+
+    def _require_trie(self) -> RPTrieLocalIndex:
+        """The one trie, built on first use when the default plan did
+        not need it (its bytes then join :meth:`index_bytes`)."""
+        self._require_built()
+        if self._trie_index is None:
+            self._trie_index = self._build_trie()
+            self.build_report.index_bytes = self._index_bytes()
+        return self._trie_index
+
+    def _index_bytes(self) -> int:
+        trie = self._trie_index
+        return super()._index_bytes() + (
+            trie.memory_bytes() if trie is not None else 0)
+
+    def local_indexes(self) -> list[object]:
+        """The local indexes the default plan answers from: the one
+        trie's under ``"trie"``, else one per partition."""
+        if self.plan == "trie":
+            return [self._require_trie()]
+        return super().local_indexes()
+
+    def insert(self, traj: Trajectory) -> None:
+        """Insert into the one trie (when built) and the partitions."""
+        self._require_built()
+        if self._trie_index is not None:
+            self._trie_index.insert(traj)
+        super().insert(traj)
+
+    def top_k(self, query: Trajectory, k: int, plan: str | None = None,
+              **query_kwargs) -> QueryOutcome:
+        """Top-k; plan ``"trie"`` answers from the one trie as a batch
+        of one, the other plans are :meth:`DistributedTopK.top_k`'s."""
+        if self._resolve_plan(plan) != "trie":
+            return super().top_k(query, k, plan=plan, **query_kwargs)
+        return self._top_k_trie([query], k, [query_kwargs]).query_outcome(0)
+
+    def top_k_batch(self, queries: list[Trajectory], k: int,
+                    plan: str | None = None,
+                    plan_options: dict | None = None,
+                    registry=None) -> BatchOutcome:
+        """A batch under one plan; see :meth:`DistributedTopK.top_k_batch`
+        and, for plan ``"trie"``, :meth:`_top_k_trie`."""
+        if self._resolve_plan(plan) != "trie":
+            return super().top_k_batch(queries, k, plan=plan,
+                                       plan_options=plan_options,
+                                       registry=registry)
+        plan_options = self._validate_plan_options(plan_options)
+        return self._top_k_trie(queries, k, [{}] * len(queries),
+                                options={**self.plan_options, **plan_options},
+                                registry=registry)
+
+    def _top_k_trie(self, queries: list[Trajectory], k: int,
+                    provided: list[dict], options: dict | None = None,
+                    registry=None) -> BatchOutcome:
+        """Top-k for a batch from the one trie.
+
+        One :func:`~repro.core.search.local_search_multi` call over the
+        distinct queries (fingerprint twins are searched once), each
+        seeded with its hot-query ``registry`` threshold when it has one
+        (:meth:`~repro.cluster.batch.BatchQueryPlanner.execute_local`).
+        ``provided`` holds each query's caller-supplied kwargs, layered
+        over :meth:`_query_kwargs_for` as in the other plans.
+        """
+        start = time.perf_counter()
+        index = self._require_trie()
+        kwargs_list = [{**self._query_kwargs_for(query, kwargs), **kwargs}
+                       for query, kwargs in zip(queries, provided)]
+        results, report = self._planner(options, registry).execute_local(
+            lambda group, group_kwargs: index.top_k_multi(group, k,
+                                                          group_kwargs),
+            queries, k, kwargs_list)
+        wall = time.perf_counter() - start
+        schedule = simulate_schedule([TaskTiming(0, wall)], self.cluster_spec)
+        return BatchOutcome(
+            results=results, wall_seconds=wall,
+            simulated_seconds=schedule.makespan, schedule=schedule,
+            plan=report, exact=[plan.exact for plan in report.per_query],
+            failed_partitions=[[] for _ in queries], task_seconds=[wall])
+
+    def range_query(self, query: Trajectory, radius: float,
+                    plan: str | None = None,
+                    **query_kwargs) -> QueryOutcome:
+        """Range search; plan ``"trie"`` answers from the one trie, the
+        other plans are :meth:`DistributedTopK.range_query`'s."""
+        if self._resolve_plan(plan) != "trie":
+            return super().range_query(query, radius, plan=plan,
+                                       **query_kwargs)
+        start = time.perf_counter()
+        index = self._require_trie()
+        kwargs = {**self._query_kwargs_for(query, query_kwargs),
+                  **query_kwargs}
+        result = index.range_query(query, radius, **kwargs)
+        wall = time.perf_counter() - start
+        schedule = simulate_schedule([TaskTiming(0, wall)], self.cluster_spec)
+        return QueryOutcome(result=result, wall_seconds=wall,
+                            simulated_seconds=schedule.makespan,
+                            per_partition_seconds=[wall], schedule=schedule,
+                            plan=PlanReport(mode="trie", wave_size=0))
 
     @property
     def pivots(self) -> list[Trajectory]:
@@ -1053,7 +1233,7 @@ class Repose(DistributedTopK):
               engine: ExecutionEngine | str | None = None,
               search_options: dict | None = None,
               kernels: str | None = None,
-              plan: str = "waves", plan_options: dict | None = None,
+              plan: str | None = None, plan_options: dict | None = None,
               fault_policy: FaultPolicy | None = None,
               pivot_sample: int = 500, seed: int = 7,
               service: dict | bool | None = None) -> "Repose":
@@ -1066,16 +1246,20 @@ class Repose(DistributedTopK):
         Parameters worth calling out:
 
         plan:
-            Query execution plan (default ``"waves"``): route single
-            queries through the two-phase planner — probe partitions,
-            dispatch by promise in waves, broadcast the tightening
-            global ``dk`` — or keep the paper's one-shot fan-out with
-            ``"single"``.  Bit-identical results either way; waves
-            only prune work.  ``plan_options={"wave_size": n}``
-            controls partitions per wave;
-            ``plan_options={"share_eps": eps}`` additionally lets
+            Query execution plan.  ``"trie"`` (the default on a serial
+            or thread engine) answers from one RP-Trie over the whole
+            dataset.  ``"waves"`` (the default on a process or auto
+            engine) and ``"single"`` emulate the paper's distributed
+            setup: the two-phase planner — probe partitions, dispatch
+            by promise in waves, broadcast the tightening global
+            ``dk`` — or the paper's one-shot fan-out.  Answers agree
+            under every plan up to which candidates tied at the k-th
+            distance are kept (waves and single are bit-identical).
+            ``plan_options={"wave_size": n}`` controls partitions per
+            wave; ``plan_options={"share_eps": eps}`` additionally lets
             :meth:`top_k_batch` share probe/wave plans and leaf
-            tensors between near-duplicate batch queries.
+            tensors between near-duplicate batch queries, and the hot-
+            query registry seed near duplicates.
         engine:
             Execution backend for per-partition work.  Accepts an
             :class:`~repro.cluster.engine.ExecutionEngine` or a backend

@@ -64,6 +64,8 @@ def skewed_dataset() -> TrajectoryDataset:
 
 
 def _build(dataset, measure, **kwargs):
+    # The distributed emulation: what this file's claims are about.
+    kwargs.setdefault("plan", "waves")
     kwargs.setdefault("delta", 0.4)
     kwargs.setdefault("num_partitions", 12)
     kwargs.setdefault("plan_options", {"wave_size": 3})

@@ -61,10 +61,11 @@ def _build_pair(measure: str):
     dataset = TrajectoryDataset(
         name=f"chaos-{measure}",
         trajectories=[_random_trajectory(rng, i) for i in range(60)])
+    # Faults are injected into partition tasks: the distributed plan.
     baseline = Repose.build(dataset, measure=measure, delta=0.4,
-                            num_partitions=NUM_PARTITIONS)
+                            num_partitions=NUM_PARTITIONS, plan="waves")
     chaotic = Repose.build(dataset, measure=measure, delta=0.4,
-                           num_partitions=NUM_PARTITIONS,
+                           num_partitions=NUM_PARTITIONS, plan="waves",
                            engine="thread", fault_policy=POLICY)
     return baseline, chaotic
 

@@ -109,7 +109,8 @@ class TestQuery:
     def test_batch_flag_runs_batch_planner(self, csv_dataset, capsys):
         assert main(["query", str(csv_dataset), "--k", "3",
                      "--partitions", "4", "--delta", "0.15",
-                     "--batch", "3", "--wave-size", "2"]) == 0
+                     "--batch", "3", "--plan", "waves",
+                     "--wave-size", "2"]) == 0
         out = capsys.readouterr().out
         assert "batch of 3 top-3 queries" in out
         assert "batch plan (batch-waves):" in out
@@ -127,7 +128,8 @@ class TestQuery:
     def test_batch_share_eps_prints_share_stats(self, csv_dataset, capsys):
         assert main(["query", str(csv_dataset), "--k", "2",
                      "--partitions", "4", "--delta", "0.15",
-                     "--batch", "3", "--share-eps", "100.0"]) == 0
+                     "--batch", "3", "--plan", "waves",
+                     "--share-eps", "100.0"]) == 0
         out = capsys.readouterr().out
         assert "near-duplicate sharing (eps=100)" in out
         assert "share groups" in out

@@ -339,6 +339,8 @@ def _tiny_engine(**kwargs):
     dataset = TrajectoryDataset(name="faults", trajectories=[
         Trajectory(rng.uniform(0, 1, (int(rng.integers(4, 12)), 2)),
                    traj_id=i) for i in range(50)])
+    # Faults are injected into partition tasks: the distributed plan.
+    kwargs.setdefault("plan", "waves")
     return Repose.build(dataset, measure="hausdorff", num_partitions=4,
                         **kwargs)
 

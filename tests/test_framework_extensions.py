@@ -15,7 +15,7 @@ from repro.types import Trajectory
 class TestLocalIndexes:
     def test_one_index_per_partition(self, small_dataset):
         engine = Repose.build(small_dataset, measure="hausdorff", delta=0.5,
-                              num_partitions=4)
+                              num_partitions=4, plan="waves")
         indexes = engine.local_indexes()
         assert len(indexes) == 4
         assert sum(ix.trie.num_trajectories for ix in indexes) == \

@@ -27,6 +27,10 @@ registry-warm, and mid-stream barrier ``insert()``s roll the index
 epoch — and every served answer must still be bit-identical to
 ``plan="single"`` at the matching index state.
 
+A third leg runs the one-trie plan (a local engine's default) against
+the linear scan: batches with duplicates, range queries and
+insert-then-query.
+
 ``REPRO_FUZZ_CASES``
     Cases per measure (default 12 — 72 total across 6 measures; CI's
     "elevated" chaos leg runs 36).
@@ -200,8 +204,9 @@ def test_fuzz_served_path_matches_single(measure):
         name=f"fuzz-served-{measure}",
         trajectories=[_random_trajectory(build_rng, i, hot=bool(i % 3))
                       for i in range(70)])
+    # The served waved path; the one-trie path has its own leg below.
     engine = Repose.build(dataset, measure=measure, delta=0.4,
-                          num_partitions=NUM_PARTITIONS)
+                          num_partitions=NUM_PARTITIONS, plan="waves")
     from repro.testing import run_virtual
 
     for case in range(SERVED_CASES_PER_MEASURE):
@@ -266,6 +271,56 @@ def test_fuzz_served_path_matches_single(measure):
         if newcomer is not None:
             assert service.registry.epoch == engine.context.probe_cache.epoch, (
                 f"registry missed the epoch roll: {context}")
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_fuzz_one_trie_matches_linear_scan(measure):
+    """The one-trie plan — a local engine's default — against the
+    per-pair linear scan: batches mixing exact and near duplicates, a
+    single top-k, a range query, with inserts between cases.  Answers
+    equal the scan's up to which candidates tied at the k-th distance
+    are kept."""
+    build_rng = np.random.default_rng((BASE_SEED, 41,
+                                       MEASURES.index(measure)))
+    dataset = TrajectoryDataset(
+        name=f"fuzz-trie-{measure}",
+        trajectories=[_random_trajectory(build_rng, i, hot=bool(i % 3))
+                      for i in range(70)])
+    engine = Repose.build(dataset, measure=measure, delta=0.4,
+                          num_partitions=NUM_PARTITIONS)
+    assert engine.plan == "trie"
+    indexed = list(dataset.trajectories)
+
+    for case in range(CASES_PER_MEASURE):
+        case_seed = (BASE_SEED, 41, MEASURES.index(measure), case)
+        rng = np.random.default_rng(case_seed)
+        if rng.random() < 0.25:
+            indexed.append(_random_trajectory(
+                rng, next(_INSERT_IDS), hot=bool(rng.random() < 0.5)))
+            engine.insert(indexed[-1])
+        queries = _query_mix(rng, engine)
+        k = int(rng.integers(1, 13))
+        context = (f"case_seed={case_seed} measure={measure} k={k} "
+                   f"queries={len(queries)} "
+                   f"(rerun: REPRO_FUZZ_SEED={BASE_SEED} "
+                   f"python -m pytest tests/test_fuzz_equivalence.py "
+                   f"-k 'trie and {measure}')")
+        scans = [linear_scan(engine.measure, query, indexed)
+                 for query in queries]
+        batch = engine.top_k_batch(queries, k)
+        single = engine.top_k(queries[0], k)
+        for qi, (items, scan) in enumerate(
+                [(r.items, scan) for r, scan in zip(batch.results, scans)]
+                + [(single.result.items, scans[0])]):
+            try:
+                assert_same_up_to_ties(items, scan[:k], scan)
+            except AssertionError as exc:
+                raise AssertionError(
+                    f"oracle divergence on query {qi}: {context}") from exc
+        radius = scans[0][int(rng.integers(len(scans[0])))][0]
+        ranged = engine.range_query(queries[0], radius).result.items
+        assert ranged == [item for item in scans[0] if item[0] <= radius], (
+            f"range divergence at radius {radius}: {context}")
 
 
 WIDE_QUERIES = int(os.environ.get("REPRO_FUZZ_WIDE_QUERIES", "120"))

@@ -82,6 +82,8 @@ def skewed_dataset() -> TrajectoryDataset:
 
 
 def _build(dataset, measure, **kwargs):
+    # The distributed emulation: what this file's claims are about.
+    kwargs.setdefault("plan", "waves")
     kwargs.setdefault("delta", 0.4)
     kwargs.setdefault("num_partitions", 12)
     kwargs.setdefault("plan_options", {"wave_size": 3})
@@ -232,6 +234,24 @@ class TestSingleIsBatchOfOne:
             assert [w.failed for w in single.plan.waves].count([pid]) == 1
             assert single.plan.waves[-1].index == 4    # the retry wave
 
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_one_trie_top_k_equals_width_one_batch(self, skewed_dataset,
+                                                   name):
+        """The same on the one-trie plan: items and stats."""
+        outcomes = []
+        for run in ("top_k", "batch"):
+            engine = _build(skewed_dataset, name, plan="trie")
+            query = skewed_dataset.trajectories[7]
+            outcomes.append(
+                engine.top_k(query, 6) if run == "top_k"
+                else engine.top_k_batch([query], 6).query_outcome(0))
+        single, sliced = outcomes
+        assert single.result.items == sliced.result.items
+        assert single.result.stats == sliced.result.stats
+        assert single.plan == sliced.plan
+        assert single.plan.mode == "trie" and not single.plan.waves
+        assert single.result.stats.nodes_visited > 0
+
     def test_execute_top_k_is_the_width_one_call(self, skewed_dataset):
         """Planner level: ``execute_top_k`` returns query 0 of
         ``execute_batch([query])``."""
@@ -320,7 +340,7 @@ class TestWaveStats:
 
     def test_wave_size_floor_applies_without_options(self, skewed_dataset):
         engine = Repose.build(skewed_dataset, measure="hausdorff",
-                              delta=0.4, num_partitions=4)
+                              delta=0.4, num_partitions=4, plan="waves")
         outcome = engine.top_k(skewed_dataset.trajectories[0], 3)
         assert outcome.plan is not None
         assert len(outcome.plan.waves) == 1          # floor of 8 per wave

@@ -80,7 +80,7 @@ class TestReposeBuild:
 class TestQueryOutcome:
     def test_timings_reported(self, small_dataset):
         engine = Repose.build(small_dataset, measure="hausdorff", delta=0.5,
-                              num_partitions=4)
+                              num_partitions=4, plan="waves")
         outcome = engine.top_k(small_dataset.trajectories[0], 5)
         assert outcome.wall_seconds > 0
         assert outcome.simulated_seconds > 0
@@ -197,7 +197,7 @@ class TestDriverSidePivotDistances:
     @pytest.fixture
     def engine(self, small_dataset):
         return Repose.build(small_dataset, measure="hausdorff", delta=0.5,
-                            num_partitions=4, num_pivots=3)
+                            num_partitions=4, num_pivots=3, plan="waves")
 
     def test_batch_scheduled_forwards_dqp(self, engine, small_dataset):
         query = small_dataset.trajectories[5]
