@@ -389,9 +389,9 @@ _SHARED_GATHER_BUDGET = 1 << 24
 class _SharedGatherStore:
     """Read-through store view memoizing :meth:`gather` across queries.
 
-    :func:`local_search_multi` runs several queries against one
-    partition; two searches whose pools flush the same ids in the same
-    order ask for the same padded tensor.  This view caches
+    :func:`local_search_multi` runs a share group's near-duplicate
+    queries back to back; two searches whose pools flush the same ids
+    in the same order ask for the same padded tensor.  This view caches
     ``gather()`` results keyed by ``(tids, max_len)``; every other
     attribute delegates to the wrapped store, and the batch kernels
     treat gathered tensors as read-only, so sharing them is invisible
@@ -614,11 +614,9 @@ def local_search_multi(trie, queries: list[Trajectory], k: int,
 
     The multi-query entry point behind the batch query planner
     (:mod:`repro.cluster.batch`): one dispatched partition task runs a
-    whole *group* of queries, so the per-task overhead — and, through a
-    shared :class:`_SharedGatherStore` view, a columnar gather two
-    queries ask for with the same ids — is paid once per group instead
-    of once per query.  The store's per-measure derived caches (ERP
-    masses) are shared the same way.  Each query still
+    whole *group* of queries, so the per-task overhead is paid once per
+    group instead of once per query, and so are the store's
+    per-measure derived caches (ERP masses).  Each query still
     runs its own best-first traversal, its own candidate pool and its
     own batch refinement (the broadcast tensors are query-dependent),
     seeded with its own entry of the ``dks`` vector.
@@ -628,7 +626,8 @@ def local_search_multi(trie, queries: list[Trajectory], k: int,
     vector both mean "not supplied").  ``share_groups``, when given, is
     a per-query vector of *share-group* labels (None for ungrouped):
     queries carrying the same label are near-duplicates, so they are
-    run consecutively, and the shared view is *persistent* per store
+    run consecutively against a shared :class:`_SharedGatherStore`
+    view, *persistent* per store
     (:func:`_persistent_view`), so a group member whose task runs one
     engine wave after its representative's can still reuse a tensor
     the representative built.  The store may release a finished
@@ -639,18 +638,13 @@ def local_search_multi(trie, queries: list[Trajectory], k: int,
     to ``local_search(trie, query, k, dqp=..., dk=...)`` run alone —
     only shared read-only tensors and caches differ.
     """
-    # Share-grouped calls use the *persistent* per-store view (see
-    # above); ungrouped multi-query calls share within the task only.
+    # Only share-grouped calls memoize gathers, through the persistent
+    # per-store view (see above).  Ungrouped queries read the trie's
+    # own store: a gather is keyed by a whole flush, which two distinct
+    # queries rarely repeat (docs/architecture.md has the hit rate).
     persistent = (share_groups is not None
                   and any(label is not None for label in share_groups))
-    if persistent:
-        shared = _persistent_view(trie.store)
-    elif len(queries) > 1:
-        shared = _SharedGatherStore(trie.store)
-    else:
-        # One ungrouped query has nobody to share a gather with: a memo
-        # view could only miss, so it reads the trie's own store.
-        shared = None
+    shared = _persistent_view(trie.store) if persistent else None
     order = list(range(len(queries)))
     if share_groups is not None:
         # Group members run consecutively (stable: grouped queries

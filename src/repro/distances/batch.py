@@ -955,6 +955,35 @@ def _edit_eps(measure: Measure) -> float:
     return float(measure.params.get("eps", default))
 
 
+def _erp_gaps(measure: Measure, points: np.ndarray) -> np.ndarray:
+    """ERP's point-to-gap distances over the last axis of ``points`` (a
+    query or a padded candidate tensor): the same elementwise ``hypot``
+    the per-pair DP computes."""
+    gap = np.asarray(measure.params.get("gap", (0.0, 0.0)), dtype=np.float64)
+    return np.hypot(points[..., 0] - gap[0], points[..., 1] - gap[1])
+
+
+def _exact_kernel_args(measure: Measure, query: np.ndarray,
+                       padded: np.ndarray,
+                       query_gaps: np.ndarray | None = None) -> tuple:
+    """The ``{name}_exact`` kernel's tensor arguments (all but the
+    lengths) for ``query`` against gathered candidates ``padded``.
+
+    The one construction :meth:`BatchRefiner.exact_batch` and
+    :func:`exact_distances` share, so a search's refinement and a
+    build's pivot table come from the same bits.  ``query_gaps`` passes
+    ERP's query gap distances when the caller already has them.
+    """
+    if measure.name in ("edr", "lcss"):
+        return (batch_match_tensor(query, padded, _edit_eps(measure)),)
+    dm = batch_point_distance_tensor(query, padded)
+    if measure.name != "erp":
+        return (dm,)
+    if query_gaps is None:
+        query_gaps = _erp_gaps(measure, query)
+    return dm, query_gaps, _erp_gaps(measure, padded)
+
+
 class BatchRefiner:
     """Bounds, banded upper bounds and exact evaluation for one batch.
 
@@ -1015,7 +1044,6 @@ class BatchRefiner:
         self._chunks: list | None = None    # [(rows, tensor)] when kept
         self._row_of: np.ndarray | None = None
         self._lengths: np.ndarray | None = None
-        self._erp_ga: np.ndarray | None = None
         if self.name in ("frechet", "dtw", "edr", "lcss") and tids:
             padded, lengths = store.gather(tids)
             self._lengths = lengths
@@ -1207,23 +1235,6 @@ class BatchRefiner:
         """True when :meth:`exact_batch` runs a real batched DP."""
         return self.name in ("frechet", "dtw", "erp", "edr", "lcss")
 
-    def _erp_tensors(self, idxs: list[int]):
-        """Gather the ERP DP inputs for candidates ``idxs``: the point
-        distance tensor, the query/candidate gap distances (inf-padded
-        for the candidates) and the true lengths.  The gap distances
-        are the same ``hypot`` the per-pair DP computes, elementwise on
-        the same operands, so the batched DP stays bit-identical."""
-        gap = np.asarray(self.measure.params.get("gap", (0.0, 0.0)),
-                         dtype=np.float64)
-        if self._erp_ga is None:
-            self._erp_ga = np.hypot(self.query[:, 0] - gap[0],
-                                    self.query[:, 1] - gap[1])
-        padded, lengths = self.store.gather(
-            [self.tids[i] for i in idxs])
-        dm = batch_point_distance_tensor(self.query, padded)
-        gb = np.hypot(padded[:, :, 0] - gap[0], padded[:, :, 1] - gap[1])
-        return dm, self._erp_ga, gb, lengths
-
     def exact_batch(self, idxs: list[int], dk: float = np.inf,
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Distances for candidates ``idxs`` via one batched DP,
@@ -1236,31 +1247,22 @@ class BatchRefiner:
         entry is False.  Reuses retained tensor slices when available,
         otherwise regathers just these candidates.
         """
-        if self.name == "erp":
-            args = self._erp_tensors(idxs)
-        else:
-            edit = self.name in ("edr", "lcss")
+        if self._chunks is not None and self.name != "erp":
             lengths = self._lengths[idxs]
-            if self._chunks is not None:
-                width = int(lengths.max())
-                if edit:
-                    dm = np.zeros((len(idxs), len(self.query), width),
-                                  dtype=bool)
-                else:
-                    dm = np.full((len(idxs), len(self.query), width),
-                                 np.inf)
-                for k, i in enumerate(idxs):
-                    piece = self._slice(i)
-                    dm[k, :, :piece.shape[1]] = piece
+            width = int(lengths.max())
+            if self.name in ("edr", "lcss"):
+                dm = np.zeros((len(idxs), len(self.query), width),
+                              dtype=bool)
             else:
-                padded, lengths = self.store.gather(
-                    [self.tids[i] for i in idxs])
-                if edit:
-                    dm = batch_match_tensor(self.query, padded,
-                                            _edit_eps(self.measure))
-                else:
-                    dm = batch_point_distance_tensor(self.query, padded)
+                dm = np.full((len(idxs), len(self.query), width), np.inf)
+            for k, i in enumerate(idxs):
+                piece = self._slice(i)
+                dm[k, :, :piece.shape[1]] = piece
             args = (dm, lengths)
+        else:
+            padded, lengths = self.store.gather([self.tids[i] for i in idxs])
+            args = (*_exact_kernel_args(self.measure, self.query, padded),
+                    lengths)
         kernel = getattr(self.kernels, f"{self.name}_exact")
         if self.name not in ("dtw", "erp"):
             # Exact selections (Frechet) and integer DPs: a running
@@ -1487,20 +1489,11 @@ def _exact_slice(measure: Measure, query: np.ndarray, store,
     if name == "hausdorff":
         return _tensor_bounds(name, query, padded, lengths)
     kernel = getattr(get_kernels(kernels), f"{name}_exact")
-    gap = np.asarray(measure.params.get("gap", (0.0, 0.0)), dtype=np.float64)
-    query_gaps = np.hypot(query[:, 0] - gap[0], query[:, 1] - gap[1])
+    query_gaps = _erp_gaps(measure, query) if name == "erp" else None
     out = np.empty(len(tids), dtype=np.float64)
     for rows in _length_sorted_chunks(lengths, len(query)):
         chunk_lengths = lengths[rows]
         chunk = padded[rows, :int(chunk_lengths.max())]
-        if name in ("edr", "lcss"):
-            args = (batch_match_tensor(query, chunk, _edit_eps(measure)),)
-        elif name == "erp":
-            # The same elementwise hypot terms as BatchRefiner's ERP DP.
-            args = (batch_point_distance_tensor(query, chunk), query_gaps,
-                    np.hypot(chunk[:, :, 0] - gap[0],
-                             chunk[:, :, 1] - gap[1]))
-        else:
-            args = (batch_point_distance_tensor(query, chunk),)
+        args = _exact_kernel_args(measure, query, chunk, query_gaps)
         out[rows] = kernel(*args, chunk_lengths, dk=np.inf)[0]
     return out

@@ -5,11 +5,12 @@ partitioned, each partition is packaged together with its local index
 into an ``RpTraj`` record inside an RDD, ``mapPartitions`` builds and
 queries local indexes, and the driver merges per-partition top-k lists.
 That is the ``"waves"`` / ``"single"`` plans: the emulation of the
-paper's distributed setup.  On one machine (serial and thread engines)
-:class:`Repose` answers from *one* RP-Trie over every partition's
-trajectories instead — plan ``"trie"``, its default there — because the
-paper's bounds are per node (a subtree's cell path, ``Dmax`` and
-``HR``), so one trie is as sound as sixteen and far cheaper to search.
+paper's distributed setup.  By default :class:`Repose` answers from
+*one* RP-Trie over every partition's trajectories instead — plan
+``"trie"``, searched in the driver whatever the engine backend —
+because the paper's bounds are per node (a subtree's cell path,
+``Dmax`` and ``HR``), so one trie is as sound as sixteen and far
+cheaper to search.
 
 The same machinery runs the baselines — DFT, DITA and LS implement the
 local-index interface — so every algorithm is measured on an identical
@@ -402,12 +403,11 @@ class RPTrieLocalIndex:
     def top_k_multi(self, queries: list[Trajectory], k: int,
                     kwargs_list: list[dict],
                     share_groups: list | None = None) -> list[TopKResult]:
-        """Local top-k for a whole query group, sharing gathers.
+        """Local top-k for a whole query group in one call.
 
-        The wave loop's entry point
+        The entry point of the wave loop and of the one-trie plan
         (:func:`repro.core.search.local_search_multi`): one call runs
-        every query of a partition-affine group against one shared
-        gather memo.  Per-query
+        every query of a group.  Per-query
         ``kwargs_list`` entries carry the same keys :meth:`top_k`
         accepts (``dqp``, ``dk``; anything else is a ``TypeError``, as
         it would be there); ``share_groups`` forwards the batch
@@ -542,6 +542,7 @@ class DistributedTopK:
         partition exhausts every retry.
     """
 
+    #: The plans this driver runs; the first is its default.
     _PLANS = ("waves", "single")
 
     #: Every knob :attr:`plan_options` accepts; anything else raises
@@ -572,7 +573,8 @@ class DistributedTopK:
             self.context.engine.fault_policy = fault_policy
         self.measure_hint = measure_hint
         self.kernels_hint = kernels_hint
-        self.plan = self._resolve_plan(plan or self._default_plan())
+        # The first plan listed is the default.
+        self.plan = self._resolve_plan(plan or self._PLANS[0])
         self.plan_options = self._validate_plan_options(plan_options)
         self._partition_points: int | None = None
         #: The driver's record of which trajectories each partition
@@ -584,10 +586,6 @@ class DistributedTopK:
         #: The serving front-end attached by ``build(service=...)``
         #: (see :meth:`serve`); None until one is requested.
         self.service = None
-
-    def _default_plan(self) -> str:
-        """The plan used when none is named: the paper's waves."""
-        return "waves"
 
     def _resolve_plan(self, plan: str | None) -> str:
         """Validate a plan name, defaulting to the engine-level plan."""
@@ -820,14 +818,26 @@ class DistributedTopK:
                   k: int = 10) -> float:
         """Calibrate the ``"auto"`` cost model on this machine.
 
-        Times one real partition task (a local top-k of ``query``
-        against the largest partition) through
+        Times one real local top-k of ``query``
+        (:meth:`_calibration_task`) through
         :meth:`~repro.cluster.engine.ExecutionEngine.calibrate`,
         replacing the dev-box ballpark constant for this engine's
         measure, and persists the measured rates on the cluster
         context so they outlive the engine.  Returns the measured
         per-point rate in microseconds.
         """
+        task, points = self._calibration_task(query, k)
+        rate = self.context.engine.calibrate(self.measure_hint, task, points,
+                                             kernels=self.kernels_hint)
+        self.context.calibration = dict(
+            self.context.engine.calibrated_cost_us)
+        return rate
+
+    def _calibration_task(self, query: Trajectory | None,
+                          k: int) -> tuple[Callable, int]:
+        """The task :meth:`calibrate` times — a local top-k of ``query``
+        (default: the partition's first trajectory) against the largest
+        partition — and that partition's point count."""
         parts = [rp for rp in self._require_parts() if rp.trajectories]
         if not parts:
             raise IndexNotBuiltError("cannot calibrate an empty dataset")
@@ -835,12 +845,7 @@ class DistributedTopK:
         if query is None:
             query = rp.trajectories[0]
         task = _LocalTopKTask(rp, query, k, self._query_kwargs_for(query))
-        points = sum(len(t) for t in rp.trajectories)
-        rate = self.context.engine.calibrate(self.measure_hint, task, points,
-                                             kernels=self.kernels_hint)
-        self.context.calibration = dict(
-            self.context.engine.calibrated_cost_us)
-        return rate
+        return task, sum(len(t) for t in rp.trajectories)
 
     def top_k_batch(self, queries: list[Trajectory], k: int,
                     plan: str | None = None,
@@ -1026,14 +1031,13 @@ class Repose(DistributedTopK):
     the trie's store lists the trajectories partition by partition —
     answering top-k, batches, range queries and inserts in the driver
     through the same :func:`~repro.core.search.local_search` family.
-    It is the default on a local (serial or thread) engine; whichever
-    structure the default plan does not use is built on first use.
+    It is the default on every engine backend (the trie is searched in
+    the driver; the partitioned plans are the emulation of the paper's
+    cluster); whichever structure the default plan does not use is
+    built on first use.
     """
 
     _PLANS = ("trie", "waves", "single")
-
-    #: Engine backends that run on this machine's one address space.
-    _LOCAL_BACKENDS = ("serial", "thread")
 
     def __init__(self, dataset: TrajectoryDataset, measure: Measure,
                  grid: Grid, **kwargs):
@@ -1055,12 +1059,6 @@ class Repose(DistributedTopK):
         kwargs.setdefault("measure_hint", measure.name)
         self._trie_index: RPTrieLocalIndex | None = None
         super().__init__(dataset, factory, **kwargs)
-
-    def _default_plan(self) -> str:
-        """One trie on a local engine; the paper's waves across
-        processes."""
-        return ("trie" if self.context.engine.backend in self._LOCAL_BACKENDS
-                else "waves")
 
     # -- the one-trie plan ---------------------------------------------------
 
@@ -1090,6 +1088,26 @@ class Repose(DistributedTopK):
             self._trie_index = self._build_trie()
             self.build_report.index_bytes = self._index_bytes()
         return self._trie_index
+
+    def _calibration_task(self, query: Trajectory | None,
+                          k: int) -> tuple[Callable, int]:
+        """Under plan ``"trie"``: a top-k of ``query`` (default: the
+        first trajectory) on the one trie, and the whole dataset's point
+        count — calibrating builds no partition tries the plan never
+        searches.  A one-trie search prunes more per point than a
+        partition's, so the rate reads low for partition tasks; the
+        cost model only needs its order of magnitude."""
+        if self.plan != "trie":
+            return super()._calibration_task(query, k)
+        index = self._require_trie()
+        trajectories = [t for part in self._partitions for t in part]
+        if not trajectories:
+            raise IndexNotBuiltError("cannot calibrate an empty dataset")
+        if query is None:
+            query = trajectories[0]
+        kwargs = self._query_kwargs_for(query)
+        return (lambda: index.top_k(query, k, **kwargs),
+                sum(len(t) for t in trajectories))
 
     def _index_bytes(self) -> int:
         trie = self._trie_index
@@ -1246,11 +1264,11 @@ class Repose(DistributedTopK):
         Parameters worth calling out:
 
         plan:
-            Query execution plan.  ``"trie"`` (the default on a serial
-            or thread engine) answers from one RP-Trie over the whole
-            dataset.  ``"waves"`` (the default on a process or auto
-            engine) and ``"single"`` emulate the paper's distributed
-            setup: the two-phase planner — probe partitions, dispatch
+            Query execution plan.  ``"trie"`` (the default) answers
+            from one RP-Trie over the whole dataset, in the driver.
+            ``"waves"`` and ``"single"`` emulate the paper's
+            distributed setup, dispatching partition tasks to the
+            engine: the two-phase planner — probe partitions, dispatch
             by promise in waves, broadcast the tightening global
             ``dk`` — or the paper's one-shot fan-out.  Answers agree
             under every plan up to which candidates tied at the k-th
@@ -1261,7 +1279,8 @@ class Repose(DistributedTopK):
             tensors between near-duplicate batch queries, and the hot-
             query registry seed near duplicates.
         engine:
-            Execution backend for per-partition work.  Accepts an
+            Execution backend for the partitioned plans' partition
+            tasks.  Accepts an
             :class:`~repro.cluster.engine.ExecutionEngine` or a backend
             name; ``engine="auto"`` lets a small cost model pick
             serial/thread/process per dispatch from the measure,

@@ -325,10 +325,12 @@ class TestAutoBackend:
                        traj_id=i) for i in range(120)])
         queries = [dataset.trajectories[i] for i in (0, 17, 44)]
         for measure in ("hausdorff", "dtw"):
+            # The partitioned plan: its tasks are what "auto" places.
             serial = Repose.build(dataset, measure=measure,
-                                  num_partitions=6)
+                                  num_partitions=6, plan="waves")
             auto = Repose.build(dataset, measure=measure,
-                                num_partitions=6, engine="auto")
+                                num_partitions=6, engine="auto",
+                                plan="waves")
             for query in queries:
                 assert (auto.top_k(query, 7).result.items
                         == serial.top_k(query, 7).result.items)
@@ -391,3 +393,29 @@ class TestProcessBackendDistributed:
         query = dataset.trajectories[0]
         assert (procs.top_k(query, 5).result.items
                 == serial.top_k(query, 5).result.items)
+
+    def test_default_plan_searches_one_trie_on_every_backend(self):
+        # The one trie is searched in the driver whatever the backend:
+        # a default engine builds no partition trie and starts no pool.
+        from repro.repose import Repose
+        from repro.types import Trajectory, TrajectoryDataset
+        import numpy as np
+
+        rng = np.random.default_rng(1)
+        dataset = TrajectoryDataset(name="p", trajectories=[
+            Trajectory(rng.uniform(0, 1, (6, 2)), traj_id=i)
+            for i in range(30)])
+        queries = dataset.trajectories[:2]
+        serial = Repose.build(dataset, measure="hausdorff", num_partitions=3)
+        expected = [r.items for r in serial.top_k_batch(queries, 5).results]
+        for backend in ("thread", "process", "auto"):
+            engine = Repose.build(
+                dataset, measure="hausdorff", num_partitions=3,
+                engine=ExecutionEngine(backend, max_workers=2))
+            assert engine.plan == "trie"
+            batch = engine.top_k_batch(queries, 5)
+            assert [r.items for r in batch.results] == expected
+            assert engine._parts is None
+            pools = engine.context.engine
+            assert pools._thread_pool is None and pools._process_pool is None
+            pools.close()

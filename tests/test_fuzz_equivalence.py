@@ -27,7 +27,7 @@ registry-warm, and mid-stream barrier ``insert()``s roll the index
 epoch — and every served answer must still be bit-identical to
 ``plan="single"`` at the matching index state.
 
-A third leg runs the one-trie plan (a local engine's default) against
+A third leg runs the one-trie plan (the default) against
 the linear scan: batches with duplicates, range queries and
 insert-then-query.
 
@@ -275,7 +275,7 @@ def test_fuzz_served_path_matches_single(measure):
 
 @pytest.mark.parametrize("measure", MEASURES)
 def test_fuzz_one_trie_matches_linear_scan(measure):
-    """The one-trie plan — a local engine's default — against the
+    """The one-trie plan — the default — against the
     per-pair linear scan: batches mixing exact and near duplicates, a
     single top-k, a range query, with inserts between cases.  Answers
     equal the scan's up to which candidates tied at the k-th distance

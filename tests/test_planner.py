@@ -53,6 +53,8 @@ from repro.distances.threshold import distance_with_threshold
 from repro.repose import Repose, make_baseline
 from repro.types import BoundingBox, Trajectory, TrajectoryDataset
 
+from oracle import assert_same_up_to_ties, linear_scan
+
 MEASURES = ["hausdorff", "frechet", "dtw", "erp", "edr", "lcss"]
 SPAN = 10.0
 
@@ -585,6 +587,22 @@ class TestCalibration:
         query = skewed_dataset.trajectories[0]
         assert engine.top_k(query, 4).result.items == \
             engine.top_k(query, 4, plan="single").result.items
+
+
+    def test_one_trie_calibrate_builds_no_partitions(self, skewed_dataset):
+        """On a default engine calibration times the one trie: no
+        partition trie is built and the index footprint stays put."""
+        engine = Repose.build(skewed_dataset, measure="dtw", delta=0.4,
+                              num_partitions=4)
+        built = engine.index_bytes()
+        assert engine.calibrate(k=3) > 0.0
+        assert engine._parts is None
+        assert engine.index_bytes() == built
+        query = skewed_dataset.trajectories[0]
+        scan = linear_scan(get_measure("dtw"), query,
+                           skewed_dataset.trajectories)
+        assert_same_up_to_ties(engine.top_k(query, 4).result.items,
+                               scan[:4], scan)
 
 
 class TestAdaptiveBand:

@@ -17,6 +17,8 @@ suite covers:
   (fingerprints, TTL/LRU eviction, epoch staleness);
 * warm recurring queries on tie-heavy data staying bit-identical to
   ``plan="single"`` (the strict ``nextafter`` cutoff contract);
+* the micro-batch and warm-recurrence checks on both served paths: the
+  default one-trie plan and ``plan="waves"``;
 * the persistent shared-gather store: staggered share-group members
   must not re-gather leaves their representative already gathered.
 """
@@ -163,6 +165,14 @@ class TestMicroBatchCuts:
         for query, k, outcome in zip(queries, ks, outcomes):
             assert len(outcome.result.items) == k
             assert outcome.result.items == _single(engine, query, k)
+
+
+class TestMicroBatchCutsWaves(TestMicroBatchCuts):
+    """The same cuts and answers through the waved served path."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return _build_engine(plan="waves")
 
 
 class TestBarriersAndLifecycle:
@@ -379,11 +389,15 @@ class TestHotQueryRegistry:
 
 
 class TestWarmRecurrence:
+    #: The engine's plan; None is the default (one trie).
+    plan = None
+
     def test_recurring_query_on_ties_stays_bit_identical(self):
         # Every trajectory has an exact duplicate: distance ties at
         # every depth, so a seeded threshold that clipped ties at dk
         # (missing the strict nextafter cutoff) would drop items.
-        engine = _build_engine(count=40, seed=17, duplicate_every=20)
+        engine = _build_engine(count=40, seed=17, duplicate_every=20,
+                               plan=self.plan)
         queries = engine.dataset.trajectories[:3]
 
         async def scenario():
@@ -404,6 +418,11 @@ class TestWarmRecurrence:
                 assert outcome.result.items == _single(engine, query, k), (
                     "served result diverged from plan='single' on "
                     "tie-heavy data")
+
+
+class TestWarmRecurrenceWaves(TestWarmRecurrence):
+    """Registry seeds on ties through the waved served path."""
+    plan = "waves"
 
 
 class TestSharedGatherPersistence:
