@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "env overrides)")
     query.add_argument("--calibrate", action="store_true",
                        help="calibrate the 'auto' cost model on one "
-                            "real partition task before querying")
+                            "real local top-k before querying")
     query.add_argument("--max-retries", type=int, default=None,
                        metavar="N",
                        help="enable fault-tolerant execution: retry each "

@@ -573,7 +573,6 @@ class DistributedTopK:
             self.context.engine.fault_policy = fault_policy
         self.measure_hint = measure_hint
         self.kernels_hint = kernels_hint
-        # The first plan listed is the default.
         self.plan = self._resolve_plan(plan or self._PLANS[0])
         self.plan_options = self._validate_plan_options(plan_options)
         self._partition_points: int | None = None
